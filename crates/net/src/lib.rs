@@ -3,27 +3,28 @@
 //! Everything else in this workspace runs the paper's algorithms inside a
 //! deterministic discrete-event simulator, where "time" is a counter and
 //! "the network" is a priority queue. This crate runs the *same*
-//! [`manet_sim::Protocol`] automata as real concurrent programs: one OS
-//! thread per node, real message passing, wall-clock time.
+//! [`manet_sim::Protocol`] automata as real concurrent programs: a fixed
+//! pool of worker threads, real message passing, wall-clock time.
 //!
 //! The layering:
 //!
 //! * [`codec`] — hand-rolled length-prefixed wire format (version byte,
 //!   algorithm tag, payload, FNV-1a checksum) for every protocol message;
 //!   strict decoding, no panics on hostile bytes;
-//! * [`transport`] — the [`transport::Transport`] trait and its two
-//!   implementations: in-process `std::sync::mpsc` channels and
-//!   `std::net::UdpSocket` datagrams on loopback, plus the
-//!   [`transport::LinkGate`] the driver flips to sever links;
-//! * [`runtime`] — node threads, the self-driven workload, and the driver
-//!   that injects mobility, crashes, and partitions under the simulator's
-//!   rules ([`runtime::run_live`]);
-//! * [`shard`] — the M:N sharded runtime: a fixed worker pool owning
-//!   contiguous node shards, per-shard timing wheels, batched
-//!   cross-shard frames over bounded SPSC rings, and per-shard ticket
-//!   ranges merged into one total order at export; selected via
-//!   [`runtime::LiveRuntime::Sharded`] and scaling the same automata to
-//!   tens of thousands of nodes;
+//! * [`transport`] — the [`transport::Envelope`] around each frame, the
+//!   [`transport::TransportKind`] choice (in-process rings or UDP
+//!   datagrams on loopback), and the [`transport::LinkGate`] the driver
+//!   flips to sever links;
+//! * `host` — the sans-IO node host: one automaton, its self-driven
+//!   workload, its trace records, and the simulator's go-back-N ARQ
+//!   ([`manet_sim::shim`]) under `--reliable`;
+//! * [`shard`] — the M:N runtime: a worker pool owning contiguous node
+//!   shards, per-shard timing wheels, batched cross-shard frames over
+//!   bounded SPSC rings, per-shard ticket ranges merged into one total
+//!   order at export, and the driver that injects mobility, crashes, and
+//!   partitions under the simulator's rules;
+//! * [`runtime`] — the front door: [`runtime::LiveConfig`],
+//!   [`runtime::run_live`], [`runtime::LiveOutcome`];
 //! * [`trace`] — totally-ordered capture of everything observable, safety
 //!   validation through the harness [`harness::SafetyMonitor`], and export
 //!   of delivery timings as a simulator schedule;
@@ -43,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+mod host;
 pub mod replay;
 pub mod runtime;
 pub mod shard;
@@ -54,7 +56,4 @@ pub use replay::{conformance_replay, ConformanceReport};
 pub use runtime::{run_live, LiveAlg, LiveConfig, LiveOutcome, LiveRuntime};
 pub use shard::{merge_stamped, HybridClock, ShardAbort, ShardTuning, StampedRecord};
 pub use trace::{LiveEventKind, LiveRecord, LiveTrace, NodeNetStats};
-pub use transport::{
-    decode_envelope, encode_envelope, mpsc_mesh, udp_mesh, LinkGate, MpscTransport, Transport,
-    TransportKind, UdpTransport, ENV_ACK, ENV_DATA,
-};
+pub use transport::{Envelope, LinkGate, TransportKind, ENV_ACK, ENV_DATA};

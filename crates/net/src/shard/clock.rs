@@ -1,9 +1,8 @@
 //! Per-shard trace clocks and the ticket-range merge.
 //!
-//! The thread-per-node runtime totally orders its trace with one shared
-//! `AtomicU64` ticket counter — every observable event, on every thread,
-//! pays one contended RMW. The sharded runtime replaces it with a hybrid
-//! logical clock per shard: stamping advances the clock to
+//! A single shared `AtomicU64` ticket counter would make every observable
+//! event, on every thread, pay one contended RMW. The sharded runtime
+//! instead keeps a hybrid logical clock per shard: stamping advances the clock to
 //! `max(last + 1, wall_tick)`, and every cross-shard batch carries the
 //! sender's clock so the receiver can merge it in before processing.
 //! That gives each shard a strictly increasing private ticket range whose
@@ -20,6 +19,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::trace::{LiveEventKind, LiveRecord};
 
@@ -54,6 +54,27 @@ impl HybridClock {
     /// The latest stamp issued or witnessed (0 if none).
     pub fn current(&self) -> u64 {
         self.last
+    }
+}
+
+/// The latest stamp a shard's clock issued, published for the driver.
+/// The driver witnesses the largest before stamping its own records, so
+/// a topology change merges after everything the shards recorded before
+/// it. Each worker stores to it on every record, hence the padding to a
+/// cache line pair of its own. `Relaxed` suffices: the stamp publishes no
+/// other data, and the driver needs only a recent reading, which no
+/// ordering would make more recent.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct PublishedClock(AtomicU64);
+
+impl PublishedClock {
+    pub(crate) fn publish(&self, stamp: u64) {
+        self.0.store(stamp, Ordering::Relaxed);
+    }
+
+    pub(crate) fn read(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
     }
 }
 

@@ -1,9 +1,8 @@
-//! The sharded live runtime: M worker threads host n ≫ M nodes.
+//! The live runtime: M worker threads host n ≫ M nodes.
 //!
-//! The thread-per-node runtime (`crate::runtime`) is faithful but tops
-//! out at hundreds of nodes — n OS threads oversubscribe the host, and
-//! its single shared ticket counter serializes every observation. This
-//! module runs the *same* `Protocol` automata on a fixed worker pool:
+//! Every node is a sans-IO [`crate::host::NodeHost`] running one of the
+//! *same* `Protocol` automata the simulator runs. This module owns the
+//! threads, the transports and the driver:
 //!
 //! - **Contiguous shards.** Worker s owns nodes `[start_s, start_s +
 //!   size_s)`; ownership never migrates, so all per-node state is
@@ -17,25 +16,26 @@
 //!   ring ([`ring`]) in-process or a single datagram on UDP.
 //! - **Backpressure, not buffering.** A full ring stalls the producer
 //!   briefly and then aborts the run with a structured
-//!   [`ShardAbort::RingBackpressure`] — the live analogue of the
-//!   engine's `RunAbort::ChannelQueueOverflow`.
-//! - **Per-shard ticket ranges.** The global atomic ticket counter is
-//!   replaced by one hybrid logical clock per shard ([`clock`]); the
-//!   per-shard streams are k-way merged into one dense total order at
-//!   export, and the merged [`crate::trace::LiveTrace`] flows through
-//!   the existing safety-monitor mirror-World path unchanged.
+//!   [`ShardAbort::RingBackpressure`]; a full ARQ window aborts with
+//!   [`ShardAbort::ShimBufferOverflow`] — the live analogues of the
+//!   engine's `RunAbort`s.
+//! - **Per-shard ticket ranges.** Each shard stamps its records from its
+//!   own hybrid logical clock ([`clock`]); the per-shard streams are
+//!   k-way merged into one dense total order at export, and the merged
+//!   [`crate::trace::LiveTrace`] flows through the safety-monitor
+//!   mirror-World path.
 //!
-//! The driver (the calling thread) keeps the exact fault/mobility
-//! semantics of the thread-per-node runtime: the mirror `World`, the
-//! `LinkGate`, crash/recover/partition/teleport actions, and the same
-//! static/moving symmetry breaking. See DESIGN.md §15.
+//! The driver (the calling thread) keeps the simulator's fault/mobility
+//! semantics: the mirror `World`, the `LinkGate`, crash/recover/
+//! partition/teleport actions, the static/moving symmetry breaking, and
+//! one epoch per link incarnation. See DESIGN.md §15.
 
 mod batch;
 pub mod clock;
-mod node;
 mod ring;
 mod wheel;
 
+pub(crate) use clock::PublishedClock;
 pub use clock::{merge_stamped, HybridClock, StampedRecord};
 
 use std::collections::VecDeque;
@@ -47,15 +47,15 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
-use manet_sim::{LinkChange, LinkUpKind, NodeId, NodeSeed, Protocol, SimConfig, World};
+use manet_sim::{LinkChange, LinkUpKind, NodeId, NodeSeed, Position, Protocol, SimConfig, World};
 
 use crate::codec::WireMsg;
-use crate::runtime::{Ctrl, LiveConfig, LiveOutcome, LiveRuntime};
+use crate::host::{Ctrl, HostConfig, NodeHost, WireOut};
+use crate::runtime::{LiveConfig, LiveOutcome, LiveRuntime};
 use crate::trace::{LiveEventKind, LiveTrace};
 use crate::transport::{LinkGate, TransportKind};
 
 use batch::{batch_begin, batch_count, batch_decode, batch_push, batch_seal};
-use node::{ShardNode, WireOut};
 use ring::{ring, RingReceiver, RingSender};
 use wheel::ShardWheel;
 
@@ -75,6 +75,16 @@ pub enum ShardAbort {
         /// Ring capacity in batches.
         capacity: usize,
     },
+    /// A node's ARQ window toward a peer filled with unacknowledged
+    /// frames — the live mirror of `RunAbort::ShimBufferOverflow`.
+    ShimBufferOverflow {
+        /// The sending node.
+        from: NodeId,
+        /// The peer that stopped acknowledging.
+        to: NodeId,
+        /// The window, in frames.
+        window: usize,
+    },
 }
 
 impl fmt::Display for ShardAbort {
@@ -89,6 +99,10 @@ impl fmt::Display for ShardAbort {
                 "cross-shard ring {from_shard}->{to_shard} stayed full past the \
                  backpressure budget (capacity {capacity} batches); the consumer \
                  shard cannot keep up"
+            ),
+            ShardAbort::ShimBufferOverflow { from, to, window } => write!(
+                f,
+                "ARQ shim buffer overflow on channel {from}->{to} ({window} unacked frames)"
             ),
         }
     }
@@ -123,8 +137,12 @@ pub(crate) struct ShardShared {
     pub(crate) delivered: AtomicU64,
     pub(crate) decode_errors: AtomicU64,
     pub(crate) send_failures: AtomicU64,
+    pub(crate) retransmissions: AtomicU64,
+    pub(crate) acks_sent: AtomicU64,
     /// Nodes that have eaten at least once (one-shot early stop).
     pub(crate) ate: AtomicU64,
+    /// Each worker's latest record stamp, for the driver to order after.
+    clocks: Vec<Arc<PublishedClock>>,
     /// Raised on abort so every thread winds down promptly.
     stop: AtomicBool,
     abort: Mutex<Option<ShardAbort>>,
@@ -133,8 +151,31 @@ pub(crate) struct ShardShared {
 }
 
 impl ShardShared {
+    pub(crate) fn new(gate: Option<LinkGate>, workers: usize) -> ShardShared {
+        ShardShared {
+            origin: Instant::now(),
+            gate,
+            clocks: (0..workers).map(|_| Arc::default()).collect(),
+            sent: AtomicU64::new(0),
+            delivered: AtomicU64::new(0),
+            decode_errors: AtomicU64::new(0),
+            send_failures: AtomicU64::new(0),
+            retransmissions: AtomicU64::new(0),
+            acks_sent: AtomicU64::new(0),
+            ate: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+            abort: Mutex::new(None),
+            wakers: OnceLock::new(),
+        }
+    }
+
     pub(crate) fn now_ns(&self) -> u64 {
         self.origin.elapsed().as_nanos() as u64
+    }
+
+    /// The largest stamp any worker has recorded so far.
+    fn latest_stamp(&self) -> u64 {
+        self.clocks.iter().map(|c| c.read()).max().unwrap_or(0)
     }
 
     pub(crate) fn severed(&self, a: NodeId, b: NodeId) -> bool {
@@ -195,7 +236,7 @@ struct WorkerEnv {
 }
 
 fn rearm<P>(
-    node: &ShardNode<P>,
+    node: &NodeHost<P>,
     i: usize,
     tick_ns: u64,
     wheel: &mut ShardWheel,
@@ -312,7 +353,7 @@ fn flush_batches(
 
 fn worker_main<P>(
     env: WorkerEnv,
-    mut nodes: Vec<ShardNode<P>>,
+    mut nodes: Vec<NodeHost<P>>,
     mut links: Links,
     ctrl: Receiver<WorkerMsg>,
     shared: Arc<ShardShared>,
@@ -322,7 +363,7 @@ where
     P::Msg: WireMsg,
 {
     let udp = matches!(links, Links::Udp { .. });
-    let mut wire = WireOut::new();
+    let mut wire = WireOut::new(shared.clocks[env.shard as usize].clone());
     let mut wheel = ShardWheel::new(1024);
     let mut next_wake: Vec<Option<u64>> = vec![None; nodes.len()];
     let mut local_q: VecDeque<(NodeId, Vec<u8>)> = VecDeque::new();
@@ -346,7 +387,7 @@ where
                     busy = true;
                     wire.clock.witness(clock);
                     let i = (node.0 - env.base) as usize;
-                    nodes[i].handle_ctrl(ctrl, &mut wire, &shared);
+                    nodes[i].handle_ctrl(ctrl, shared.now_ns(), &mut wire, &shared);
                     rearm(&nodes[i], i, env.tick_ns, &mut wheel, &mut next_wake);
                     route_sends(
                         &mut wire,
@@ -359,8 +400,9 @@ where
                 }
                 Ok(WorkerMsg::Shutdown { clock }) => {
                     wire.clock.witness(clock);
-                    for node in &mut nodes {
-                        node.emit_net_stats(&mut wire, &shared);
+                    let now_ns = shared.now_ns();
+                    for node in &nodes {
+                        node.emit_net_stats(now_ns, &mut wire);
                     }
                     break 'run;
                 }
@@ -393,7 +435,7 @@ where
                     for (to, envelope) in envelopes {
                         let i = to.0.wrapping_sub(env.base) as usize;
                         if i < nodes.len() {
-                            nodes[i].on_envelope(envelope, &mut wire, &shared);
+                            nodes[i].on_envelope(envelope, shared.now_ns(), &mut wire, &shared);
                             rearm(&nodes[i], i, env.tick_ns, &mut wheel, &mut next_wake);
                         }
                     }
@@ -416,7 +458,7 @@ where
         while let Some((to, envelope)) = local_q.pop_front() {
             busy = true;
             let i = (to.0 - env.base) as usize;
-            nodes[i].on_envelope(&envelope, &mut wire, &shared);
+            nodes[i].on_envelope(&envelope, shared.now_ns(), &mut wire, &shared);
             rearm(&nodes[i], i, env.tick_ns, &mut wheel, &mut next_wake);
             route_sends(
                 &mut wire,
@@ -429,13 +471,13 @@ where
         }
 
         // 4. Due wakeups from the wheel.
-        let now_tick = shared.now_ns() / env.tick_ns;
+        let now_ns = shared.now_ns();
         due.clear();
-        wheel.advance(now_tick, &mut due);
+        wheel.advance(now_ns / env.tick_ns, &mut due);
         for &i in &due {
             let i = i as usize;
             next_wake[i] = None;
-            nodes[i].tick(&mut wire, &shared);
+            nodes[i].tick(now_ns, &mut wire, &shared);
             rearm(&nodes[i], i, env.tick_ns, &mut wheel, &mut next_wake);
             route_sends(
                 &mut wire,
@@ -451,7 +493,7 @@ where
         // than sleeping on it.
         while let Some((to, envelope)) = local_q.pop_front() {
             let i = (to.0 - env.base) as usize;
-            nodes[i].on_envelope(&envelope, &mut wire, &shared);
+            nodes[i].on_envelope(&envelope, shared.now_ns(), &mut wire, &shared);
             rearm(&nodes[i], i, env.tick_ns, &mut wheel, &mut next_wake);
             route_sends(
                 &mut wire,
@@ -463,15 +505,20 @@ where
             );
         }
 
-        // 5. Flush cross-shard batches (one buffer per shard pair).
-        if let Err(abort) = flush_batches(
-            &mut wire,
-            &env,
-            &mut links,
-            &mut out_bufs,
-            &mut ready,
-            &shared,
-        ) {
+        // 5. Flush cross-shard batches (one buffer per shard pair),
+        // unless a host aborted the run.
+        let flushed = match wire.abort.take() {
+            Some(abort) => Err(abort),
+            None => flush_batches(
+                &mut wire,
+                &env,
+                &mut links,
+                &mut out_bufs,
+                &mut ready,
+                &shared,
+            ),
+        };
+        if let Err(abort) = flushed {
             *shared.abort.lock().expect("abort slot") = Some(abort);
             shared.stop.store(true, Ordering::Relaxed);
             break 'run;
@@ -501,10 +548,7 @@ where
 /// Resolve the worker-pool size: explicit, or the host parallelism
 /// (min 2 so cross-shard machinery is always exercised), capped at n.
 fn resolve_workers(cfg: &LiveConfig, n: usize) -> usize {
-    let requested = match cfg.runtime {
-        LiveRuntime::Sharded { workers } => workers,
-        LiveRuntime::ThreadPerNode => 0,
-    };
+    let LiveRuntime::Sharded { workers: requested } = cfg.runtime;
     let w = if requested == 0 {
         thread::available_parallelism()
             .map(|p| p.get())
@@ -516,11 +560,19 @@ fn resolve_workers(cfg: &LiveConfig, n: usize) -> usize {
     w.min(n.max(1))
 }
 
-/// Run one sharded live execution and validate its merged trace.
+/// A driver-side fault/mobility action, due at `0` ns.
+enum Action {
+    Crash(NodeId),
+    Recover(NodeId),
+    PartitionStart,
+    PartitionEnd,
+    Move(NodeId, Position),
+}
+
+/// Run one live execution and validate its merged trace.
 ///
-/// Mirrors `run_live_with`: same driver action timeline, same mirror
-/// `World`, same outcome shape. The factory runs on the calling thread
-/// (it need not be `Send`); the built automata are shipped to workers.
+/// The factory runs on the calling thread (it need not be `Send`); the
+/// built automata are shipped to workers.
 pub(crate) fn run_sharded_with<P, F>(
     cfg: &LiveConfig,
     mut factory: F,
@@ -560,18 +612,10 @@ where
     let shard_map = Arc::new(shard_map);
 
     let needs_gate = cfg.crash.is_some() || cfg.partition.is_some();
-    let shared = Arc::new(ShardShared {
-        origin: Instant::now(),
-        gate: needs_gate.then(|| LinkGate::new(n)),
-        sent: AtomicU64::new(0),
-        delivered: AtomicU64::new(0),
-        decode_errors: AtomicU64::new(0),
-        send_failures: AtomicU64::new(0),
-        ate: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
-        abort: Mutex::new(None),
-        wakers: OnceLock::new(),
-    });
+    let shared = Arc::new(ShardShared::new(
+        needs_gate.then(|| LinkGate::new(n)),
+        workers,
+    ));
 
     // Transport endpoints: a ring matrix in-process, a socket per shard
     // on UDP.
@@ -626,7 +670,9 @@ where
     };
 
     // Build every automaton (and the recovery spare) on this thread —
-    // the factory is not shared with workers.
+    // the factory is not shared with workers. A recovering node rejoins
+    // with an empty neighborhood (its rejoin link-ups follow).
+    let host_cfg = HostConfig::of(cfg);
     let mut ctrls: Vec<Sender<WorkerMsg>> = Vec::with_capacity(workers);
     let mut handles = Vec::with_capacity(workers);
     for s in 0..workers {
@@ -649,17 +695,12 @@ where
                 })),
                 _ => None,
             };
-            nodes.push(ShardNode::new(
+            nodes.push(NodeHost::new(
                 me,
                 proto,
                 spare,
                 seed.neighbors,
-                cfg.seed,
-                cfg.tick_ns,
-                cfg.rate,
-                cfg.eat_ms.saturating_mul(1_000_000),
-                cfg.one_shot,
-                cfg.closed_loop,
+                &host_cfg,
                 shared.now_ns(),
             ));
         }
@@ -688,10 +729,21 @@ where
         .set(handles.iter().map(|h| h.thread().clone()).collect());
 
     // The driver: its own clock and record stream (merged as the last
-    // input), the same action timeline as the thread-per-node runtime.
+    // input), and the action timeline.
     let mut clock = HybridClock::new();
     let mut drv_records: Vec<StampedRecord> = Vec::new();
     let tick_ns = cfg.tick_ns;
+    // Stamp after every record the workers have taken so far, so the
+    // driver's topology changes merge in real-time order with them.
+    let record = |clock: &mut HybridClock, records: &mut Vec<StampedRecord>, kind| {
+        clock.witness(shared.latest_stamp());
+        let at_ns = shared.now_ns();
+        records.push(StampedRecord {
+            clock: clock.stamp(at_ns / tick_ns),
+            at_ns,
+            kind,
+        });
+    };
     let send_ctrl = |ctrls: &[Sender<WorkerMsg>], clock: &HybridClock, node: NodeId, ctrl: Ctrl| {
         let s = shard_map[node.index()] as usize;
         let _ = ctrls[s].send(WorkerMsg::Node {
@@ -702,7 +754,6 @@ where
         shared.wake(s);
     };
 
-    use crate::runtime::Action;
     let mut actions: Vec<(u64, Action)> = Vec::new();
     if let Some((victim, at_ms)) = cfg.crash {
         actions.push((at_ms * 1_000_000, Action::Crash(NodeId(victim))));
@@ -740,6 +791,9 @@ where
     let mut quiesce_at: Option<u64> = None;
     let mut recoveries: u64 = 0;
     let mut partition_active = false;
+    // Every link-up starts a new incarnation; the links of the initial
+    // topology are incarnation 0.
+    let mut epochs: u32 = 0;
     loop {
         let now = shared.now_ns();
         while ai < actions.len() && actions[ai].0 <= now {
@@ -774,24 +828,28 @@ where
                             }
                         }
                     }
+                    // The victim restarts as a fresh incarnation first;
+                    // then the rejoin flap makes each surviving neighbor
+                    // drop its stale edge state and re-form the link with
+                    // itself as the static (fork-owning) side, so no fork
+                    // is duplicated or lost across the crash.
                     send_ctrl(&ctrls, &clock, node, Ctrl::Recover);
                     for &peer in world.neighbors(node) {
                         if world.is_crashed(peer) {
                             continue;
                         }
-                        let at_ns = shared.now_ns();
-                        drv_records.push(StampedRecord {
-                            clock: clock.stamp(at_ns / tick_ns),
-                            at_ns,
-                            kind: LiveEventKind::LinkDown { a: node, b: peer },
-                        });
+                        record(
+                            &mut clock,
+                            &mut drv_records,
+                            LiveEventKind::LinkDown { a: node, b: peer },
+                        );
                         send_ctrl(&ctrls, &clock, peer, Ctrl::LinkDown { peer: node });
-                        let at_ns = shared.now_ns();
-                        drv_records.push(StampedRecord {
-                            clock: clock.stamp(at_ns / tick_ns),
-                            at_ns,
-                            kind: LiveEventKind::LinkUp { a: peer, b: node },
-                        });
+                        record(
+                            &mut clock,
+                            &mut drv_records,
+                            LiveEventKind::LinkUp { a: peer, b: node },
+                        );
+                        epochs += 1;
                         send_ctrl(
                             &ctrls,
                             &clock,
@@ -799,6 +857,7 @@ where
                             Ctrl::LinkUp {
                                 peer: node,
                                 kind: LinkUpKind::AsStatic,
+                                epoch: epochs,
                             },
                         );
                         send_ctrl(
@@ -808,6 +867,7 @@ where
                             Ctrl::LinkUp {
                                 peer,
                                 kind: LinkUpKind::AsMoving,
+                                epoch: epochs,
                             },
                         );
                     }
@@ -835,27 +895,29 @@ where
                     if world.is_crashed(*m) {
                         continue;
                     }
-                    let at_ns = shared.now_ns();
-                    drv_records.push(StampedRecord {
-                        clock: clock.stamp(at_ns / tick_ns),
-                        at_ns,
-                        kind: LiveEventKind::Relocate {
+                    record(
+                        &mut clock,
+                        &mut drv_records,
+                        LiveEventKind::Relocate {
                             node: *m,
                             x: dest.x,
                             y: dest.y,
                         },
-                    });
+                    );
                     send_ctrl(&ctrls, &clock, *m, Ctrl::MoveStarted);
                     for change in world.relocate(*m, *dest) {
                         match change {
                             LinkChange::Up(a, b) => {
+                                // The moved node is the moving side; the
+                                // peer is static and owns the new fork —
+                                // the engine's symmetry breaking.
                                 let (stat, mov) = if a == *m { (b, a) } else { (a, b) };
-                                let at_ns = shared.now_ns();
-                                drv_records.push(StampedRecord {
-                                    clock: clock.stamp(at_ns / tick_ns),
-                                    at_ns,
-                                    kind: LiveEventKind::LinkUp { a: stat, b: mov },
-                                });
+                                epochs += 1;
+                                record(
+                                    &mut clock,
+                                    &mut drv_records,
+                                    LiveEventKind::LinkUp { a: stat, b: mov },
+                                );
                                 send_ctrl(
                                     &ctrls,
                                     &clock,
@@ -863,6 +925,7 @@ where
                                     Ctrl::LinkUp {
                                         peer: mov,
                                         kind: LinkUpKind::AsStatic,
+                                        epoch: epochs,
                                     },
                                 );
                                 send_ctrl(
@@ -872,16 +935,16 @@ where
                                     Ctrl::LinkUp {
                                         peer: stat,
                                         kind: LinkUpKind::AsMoving,
+                                        epoch: epochs,
                                     },
                                 );
                             }
                             LinkChange::Down(a, b) => {
-                                let at_ns = shared.now_ns();
-                                drv_records.push(StampedRecord {
-                                    clock: clock.stamp(at_ns / tick_ns),
-                                    at_ns,
-                                    kind: LiveEventKind::LinkDown { a, b },
-                                });
+                                record(
+                                    &mut clock,
+                                    &mut drv_records,
+                                    LiveEventKind::LinkDown { a, b },
+                                );
                                 send_ctrl(&ctrls, &clock, a, Ctrl::LinkDown { peer: b });
                                 send_ctrl(&ctrls, &clock, b, Ctrl::LinkDown { peer: a });
                             }
@@ -945,8 +1008,8 @@ where
         messages_delivered: shared.delivered.load(Ordering::Relaxed),
         decode_errors: shared.decode_errors.load(Ordering::Relaxed),
         send_failures: shared.send_failures.load(Ordering::Relaxed),
-        retransmissions: 0,
-        acks_sent: 0,
+        retransmissions: shared.retransmissions.load(Ordering::Relaxed),
+        acks_sent: shared.acks_sent.load(Ordering::Relaxed),
         recoveries,
         elapsed_ms,
         threads_joined,

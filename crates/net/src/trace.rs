@@ -1,11 +1,12 @@
 //! Live trace capture and validation.
 //!
-//! Every node thread and the driver stamp the records they emit with a
-//! ticket from one shared atomic counter plus a nanosecond reading of the
-//! run's shared monotonic origin. Sorting by ticket therefore yields a
-//! *total order consistent with real time*: a record stamped earlier
-//! happened-before (or was concurrent with) one stamped later, and the
-//! per-link envelope sequence numbers embed FIFO delivery inside it.
+//! Every shard worker and the driver stamp the records they emit with a
+//! hybrid logical clock plus a nanosecond reading of the run's shared
+//! monotonic origin, and the streams merge into one dense ticket order
+//! ([`crate::shard::merge_stamped`]). That order is consistent with
+//! causality: a record that can see the effect of another carries a
+//! later ticket, and the per-link envelope sequence numbers embed FIFO
+//! delivery inside it.
 //!
 //! That total order is what lets two sim-grade facilities run over a live
 //! execution:

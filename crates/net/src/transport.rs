@@ -1,32 +1,31 @@
-//! Real transports: in-process channels and UDP on loopback.
+//! The live wire: envelope framing, link kill switches, transport choice.
 //!
-//! A [`Transport`] is a dumb pipe between the `n` node threads of one live
-//! run: it moves opaque envelope bytes and nothing else. Link-level policy
-//! — crashes, partitions, dead links — lives in the runtime's [`LinkGate`],
-//! which the driver flips to *sever* traffic without the transport's
-//! cooperation (exactly how the simulator's fault adversary sits outside
-//! the protocol).
+//! The shard workers move opaque envelope bytes over one of two transports
+//! ([`TransportKind`]): bounded in-process rings or UDP datagrams on
+//! loopback. Link-level policy — crashes, partitions, dead links — lives
+//! in the [`LinkGate`], which the driver flips to *sever* traffic without
+//! the transport's cooperation (exactly how the simulator's fault
+//! adversary sits outside the protocol).
 //!
-//! The envelope wraps one codec frame with routing metadata:
+//! The [`Envelope`] wraps one codec frame with routing metadata:
 //!
 //! ```text
-//! ┌──────────┬─────────┬────────────┬────────────┬───────────────┬─────────┐
-//! │ from u32 │ kind u8 │ seq u64 LE │ ack u64 LE │ sent_ns u64 LE│ frame … │
-//! └──────────┴─────────┴────────────┴────────────┴───────────────┴─────────┘
+//! ┌──────────┬─────────┬───────────┬────────────┬────────────┬───────────────┬─────────┐
+//! │ from u32 │ kind u8 │ epoch u32 │ seq u64 LE │ ack u64 LE │ sent_ns u64 LE│ frame … │
+//! └──────────┴─────────┴───────────┴────────────┴────────────┴───────────────┴─────────┘
 //! ```
 //!
-//! `kind` separates protocol data ([`ENV_DATA`]) from the reliable shim's
-//! standalone acknowledgments ([`ENV_ACK`], empty frame). `seq` is the
-//! per-directed-link sequence number (FIFO witness of the live trace),
-//! `ack` the cumulative acknowledgment piggybacked by the reliable shim
-//! (0 when the shim is off), and `sent_ns` the sender's monotonic send
+//! `kind` separates protocol data ([`ENV_DATA`]) from the ARQ's
+//! standalone acknowledgments ([`ENV_ACK`], empty frame). `epoch` is the
+//! incarnation of the link, numbered by the driver at every link-up, so a
+//! receiver can drop what a dead incarnation left in flight. `seq` is the
+//! per-directed-link sequence number (FIFO witness of the live trace, and
+//! the ARQ's frame number), `ack` the cumulative acknowledgment the ARQ
+//! piggybacks (0 without it), and `sent_ns` the sender's monotonic send
 //! instant relative to the run's shared origin (what the conformance
 //! replay quantizes into simulator delivery delays).
 
-use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::time::Duration;
 
 use manet_sim::NodeId;
 
@@ -35,7 +34,7 @@ use crate::codec::{CodecError, Reader};
 /// Which transport a live run uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TransportKind {
-    /// In-process `std::sync::mpsc` channels.
+    /// In-process bounded rings between shard workers.
     Mpsc,
     /// `std::net::UdpSocket` datagrams on 127.0.0.1.
     Udp,
@@ -65,53 +64,58 @@ pub const ENV_DATA: u8 = 0;
 /// Envelope kind: a standalone cumulative acknowledgment (empty frame).
 pub const ENV_ACK: u8 = 1;
 
-/// Encode one envelope around an already-encoded frame.
-pub fn encode_envelope(
-    from: NodeId,
-    kind: u8,
-    seq: u64,
-    ack: u64,
-    sent_ns: u64,
-    frame: &[u8],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 1 + 8 + 8 + 8 + frame.len());
-    out.extend_from_slice(&from.0.to_le_bytes());
-    out.push(kind);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&ack.to_le_bytes());
-    out.extend_from_slice(&sent_ns.to_le_bytes());
-    out.extend_from_slice(frame);
-    out
+/// One envelope: a codec frame with its routing metadata. Decoding
+/// borrows the frame from the input bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Envelope<'a> {
+    /// Sending node.
+    pub from: NodeId,
+    /// [`ENV_DATA`] or [`ENV_ACK`].
+    pub kind: u8,
+    /// Incarnation of the link the envelope travels on.
+    pub epoch: u32,
+    /// Per-directed-link sequence number.
+    pub seq: u64,
+    /// Cumulative acknowledgment of the reverse link (0 without the ARQ).
+    pub ack: u64,
+    /// The sender's send instant relative to the run's origin.
+    pub sent_ns: u64,
+    /// The encoded protocol frame (empty for an ack).
+    pub frame: &'a [u8],
 }
 
-/// Split one envelope into `(from, kind, seq, ack, sent_ns, frame)`.
-#[allow(clippy::type_complexity)]
-pub fn decode_envelope(bytes: &[u8]) -> Result<(NodeId, u8, u64, u64, u64, &[u8]), CodecError> {
-    let mut r = Reader::new(bytes);
-    let from = NodeId(r.u32()?);
-    let kind = r.u8()?;
-    let seq = r.u64()?;
-    let ack = r.u64()?;
-    let sent_ns = r.u64()?;
-    let frame = &bytes[bytes.len() - r.remaining()..];
-    Ok((from, kind, seq, ack, sent_ns, frame))
+impl<'a> Envelope<'a> {
+    /// Encode the envelope.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(4 + 1 + 4 + 8 + 8 + 8 + self.frame.len());
+        out.extend_from_slice(&self.from.0.to_le_bytes());
+        out.push(self.kind);
+        out.extend_from_slice(&self.epoch.to_le_bytes());
+        out.extend_from_slice(&self.seq.to_le_bytes());
+        out.extend_from_slice(&self.ack.to_le_bytes());
+        out.extend_from_slice(&self.sent_ns.to_le_bytes());
+        out.extend_from_slice(self.frame);
+        out
+    }
+
+    /// Decode one envelope.
+    pub fn decode(bytes: &'a [u8]) -> Result<Envelope<'a>, CodecError> {
+        let mut r = Reader::new(bytes);
+        Ok(Envelope {
+            from: NodeId(r.u32()?),
+            kind: r.u8()?,
+            epoch: r.u32()?,
+            seq: r.u64()?,
+            ack: r.u64()?,
+            sent_ns: r.u64()?,
+            frame: &bytes[bytes.len() - r.remaining()..],
+        })
+    }
 }
 
-/// A byte pipe between the nodes of one live run. Implementations must be
-/// cheap to poll: `recv` blocks for at most `timeout`.
-pub trait Transport: Send {
-    /// Hand `envelope` to `to`'s inbox. Errors are transport failures
-    /// (a peer that already shut down is *not* an error — the bytes are
-    /// silently dropped, like a datagram after the receiver closed).
-    fn send(&mut self, to: NodeId, envelope: &[u8]) -> Result<(), String>;
-
-    /// Wait up to `timeout` for one envelope.
-    fn recv(&mut self, timeout: Duration) -> Option<Vec<u8>>;
-}
-
-/// Directed-link kill switches, shared by the driver and every node
-/// thread. The driver severs links to inject crashes and partitions; node
-/// threads consult the gate before sending *and* after receiving, so a
+/// Directed-link kill switches, shared by the driver and every worker.
+/// The driver severs links to inject crashes and partitions; hosts
+/// consult the gate before sending *and* after receiving, so a
 /// partition drops in-flight traffic in both directions — mirroring the
 /// simulator's `PartitionWindow`, which cuts links without notifying the
 /// protocols.
@@ -161,161 +165,32 @@ impl LinkGate {
     }
 }
 
-/// The mpsc transport: one channel per node, every peer holds a sender.
-pub struct MpscTransport {
-    txs: Vec<Option<Sender<Vec<u8>>>>,
-    rx: Receiver<Vec<u8>>,
-}
-
-/// Build a fully-connected mpsc mesh for `n` nodes.
-pub fn mpsc_mesh(n: usize) -> Vec<MpscTransport> {
-    let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| channel::<Vec<u8>>()).unzip();
-    rxs.into_iter()
-        .enumerate()
-        .map(|(me, rx)| MpscTransport {
-            txs: txs
-                .iter()
-                .enumerate()
-                .map(|(peer, tx)| (peer != me).then(|| tx.clone()))
-                .collect(),
-            rx,
-        })
-        .collect()
-}
-
-impl Transport for MpscTransport {
-    fn send(&mut self, to: NodeId, envelope: &[u8]) -> Result<(), String> {
-        match self.txs.get(to.index()) {
-            Some(Some(tx)) => {
-                // A disconnected peer (already shut down) swallows the
-                // bytes, like a closed UDP port.
-                let _ = tx.send(envelope.to_vec());
-                Ok(())
-            }
-            Some(None) => Err(format!("node sent an envelope to itself ({to})")),
-            None => Err(format!("destination {to} out of range")),
-        }
-    }
-
-    fn recv(&mut self, timeout: Duration) -> Option<Vec<u8>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(bytes) => Some(bytes),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
-    }
-}
-
-/// The UDP transport: one loopback socket per node, peers addressed by the
-/// bound addresses collected at mesh construction.
-pub struct UdpTransport {
-    socket: UdpSocket,
-    peers: Vec<SocketAddr>,
-    timeout: Option<Duration>,
-    buf: Box<[u8; 65_535]>,
-}
-
-/// Bind `n` loopback sockets and wire them into a mesh.
-///
-/// # Errors
-///
-/// Propagates socket creation/configuration failures.
-pub fn udp_mesh(n: usize) -> Result<Vec<UdpTransport>, String> {
-    let sockets: Vec<UdpSocket> = (0..n)
-        .map(|_| UdpSocket::bind("127.0.0.1:0").map_err(|e| format!("udp bind failed: {e}")))
-        .collect::<Result<_, _>>()?;
-    let peers: Vec<SocketAddr> = sockets
-        .iter()
-        .map(|s| s.local_addr().map_err(|e| format!("udp addr failed: {e}")))
-        .collect::<Result<_, _>>()?;
-    Ok(sockets
-        .into_iter()
-        .map(|socket| UdpTransport {
-            socket,
-            peers: peers.clone(),
-            timeout: None,
-            buf: Box::new([0u8; 65_535]),
-        })
-        .collect())
-}
-
-impl Transport for UdpTransport {
-    fn send(&mut self, to: NodeId, envelope: &[u8]) -> Result<(), String> {
-        let addr = self
-            .peers
-            .get(to.index())
-            .ok_or_else(|| format!("destination {to} out of range"))?;
-        // Loopback sends can still fail transiently (ENOBUFS under load);
-        // a lost datagram is a legal transport outcome, not a run failure —
-        // but the failure is reported so the runtime can *count* it instead
-        // of losing it invisibly.
-        self.socket
-            .send_to(envelope, addr)
-            .map_err(|e| format!("udp send to {to} failed: {e}"))?;
-        Ok(())
-    }
-
-    fn recv(&mut self, timeout: Duration) -> Option<Vec<u8>> {
-        // Zero would mean "block forever" to the socket API.
-        let timeout = timeout.max(Duration::from_micros(100));
-        if self.timeout != Some(timeout) {
-            if self.socket.set_read_timeout(Some(timeout)).is_err() {
-                return None;
-            }
-            self.timeout = Some(timeout);
-        }
-        match self.socket.recv_from(&mut self.buf[..]) {
-            Ok((len, _)) => Some(self.buf[..len].to_vec()),
-            Err(_) => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn envelope_round_trips() {
-        let env = encode_envelope(NodeId(3), ENV_DATA, 42, 7, 1_000_000, b"frame");
-        let (from, kind, seq, ack, sent, frame) = decode_envelope(&env).unwrap();
-        assert_eq!(from, NodeId(3));
-        assert_eq!(kind, ENV_DATA);
-        assert_eq!(seq, 42);
-        assert_eq!(ack, 7);
-        assert_eq!(sent, 1_000_000);
-        assert_eq!(frame, b"frame");
-        assert!(decode_envelope(&env[..10]).is_err());
-        let ack_env = encode_envelope(NodeId(1), ENV_ACK, 0, 9, 5, b"");
-        let (_, kind, _, ack, _, frame) = decode_envelope(&ack_env).unwrap();
-        assert_eq!(kind, ENV_ACK);
-        assert_eq!(ack, 9);
-        assert!(frame.is_empty());
-    }
-
-    #[test]
-    fn mpsc_mesh_delivers_between_peers() {
-        let mut mesh = mpsc_mesh(3);
-        let mut t2 = mesh.pop().unwrap();
-        let mut t1 = mesh.pop().unwrap();
-        let mut t0 = mesh.pop().unwrap();
-        t0.send(NodeId(2), b"hello").unwrap();
-        t1.send(NodeId(2), b"world").unwrap();
-        let a = t2.recv(Duration::from_millis(100)).unwrap();
-        let b = t2.recv(Duration::from_millis(100)).unwrap();
-        assert_eq!([a.as_slice(), b.as_slice()], [&b"hello"[..], &b"world"[..]]);
-        assert!(t0.recv(Duration::from_millis(1)).is_none());
-        assert!(t0.send(NodeId(0), b"self").is_err());
-    }
-
-    #[test]
-    fn udp_mesh_delivers_on_loopback() {
-        let mut mesh = udp_mesh(2).unwrap();
-        let mut t1 = mesh.pop().unwrap();
-        let mut t0 = mesh.pop().unwrap();
-        t0.send(NodeId(1), b"datagram").unwrap();
-        let got = t1.recv(Duration::from_millis(500)).unwrap();
-        assert_eq!(got, b"datagram");
-        assert!(t1.recv(Duration::from_millis(1)).is_none());
+        let data = Envelope {
+            from: NodeId(3),
+            kind: ENV_DATA,
+            epoch: 5,
+            seq: 42,
+            ack: 7,
+            sent_ns: 1_000_000,
+            frame: b"frame",
+        };
+        let bytes = data.encode();
+        assert_eq!(Envelope::decode(&bytes).unwrap(), data);
+        assert!(Envelope::decode(&bytes[..10]).is_err());
+        let ack = Envelope {
+            kind: ENV_ACK,
+            seq: 0,
+            ack: 9,
+            frame: b"",
+            ..data
+        };
+        assert_eq!(Envelope::decode(&ack.encode()).unwrap(), ack);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::ids::NodeId;
 use crate::protocol::{Context, DiningState, Protocol};
 use crate::rng::SimRng;
 use crate::sched::{self, DeliveryChoice, Strategy};
-use crate::shim::{ShimState, ShimStats};
+use crate::shim::{Arm, ShimState, ShimStats, Timeout};
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEntry, TraceKind};
 use crate::wheel::EventQueue;
@@ -1208,38 +1208,21 @@ impl<P: Protocol> Engine<P> {
     fn shim_send(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
         let epoch = self.core.links.current_epoch(from, to);
         let shim = self.core.shim.as_mut().expect("shim_send without shim");
-        let window = shim.window;
-        let slot = shim.send_slot(from, to, epoch);
-        if slot.buf.len() >= window {
-            self.core
-                .abort
-                .get_or_insert(RunAbort::ShimBufferOverflow { from, to, window });
-            return;
-        }
-        let seq = slot.next_seq();
-        slot.buf.push_back(msg.clone());
-        let depth = slot.buf.len() as u64;
-        let arm = if slot.rto_armed {
-            None
-        } else {
-            slot.rto_gen += 1;
-            slot.rto_armed = true;
-            Some((slot.rto_gen, slot.attempts))
+        let (slot, timing, rng) = shim.send_slot(from, to, epoch);
+        let (seq, arm) = match slot.enqueue(msg.clone(), timing, rng) {
+            Ok(sent) => sent,
+            Err(window) => {
+                self.core
+                    .abort
+                    .get_or_insert(RunAbort::ShimBufferOverflow { from, to, window });
+                return;
+            }
         };
+        let depth = slot.len() as u64;
         let hw = &mut self.core.stats.shim.buffer_high_water;
         *hw = (*hw).max(depth);
-        if let Some((gen, attempts)) = arm {
-            let delay = self.core.shim.as_mut().expect("shim").backoff(attempts);
-            let at = self.core.now + delay;
-            self.core.push(
-                at,
-                Item::ShimRto {
-                    from,
-                    to,
-                    epoch,
-                    gen,
-                },
-            );
+        if let Some(arm) = arm {
+            self.push_shim_rto(from, to, epoch, arm);
         }
         let ack = self
             .core
@@ -1250,54 +1233,36 @@ impl<P: Protocol> Engine<P> {
         self.physical_send(from, to, Wire::Data { seq, ack, msg });
     }
 
+    fn push_shim_rto(&mut self, from: NodeId, to: NodeId, epoch: u64, arm: Arm) {
+        let at = self.core.now + arm.delay;
+        self.core.push(
+            at,
+            Item::ShimRto {
+                from,
+                to,
+                epoch,
+                gen: arm.gen,
+            },
+        );
+    }
+
     /// Apply a cumulative acknowledgment (piggybacked or standalone) to
-    /// the sender-side slot `owner` keeps for its data channel to `peer`:
-    /// release acknowledged frames, reset the backoff on progress, and
-    /// re-arm or disarm the retransmission timer.
+    /// the sender-side slot `owner` keeps for its data channel to `peer`.
     fn shim_apply_ack(&mut self, owner: NodeId, peer: NodeId, epoch: u64, ack: u64) {
         let shim = self
             .core
             .shim
             .as_mut()
             .expect("shim_apply_ack without shim");
-        let slot = shim.send_slot(owner, peer, epoch);
-        let mut progress = false;
-        while slot.base <= ack && !slot.buf.is_empty() {
-            slot.buf.pop_front();
-            slot.base += 1;
-            progress = true;
+        let (slot, timing, rng) = shim.send_slot(owner, peer, epoch);
+        if let Some(arm) = slot.on_ack(ack, timing, rng) {
+            self.push_shim_rto(owner, peer, epoch, arm);
         }
-        if !progress {
-            return;
-        }
-        slot.attempts = 0;
-        if slot.buf.is_empty() {
-            slot.rto_armed = false;
-            return;
-        }
-        // Outstanding frames remain: restart the timer from the initial
-        // timeout (the channel just proved it is making progress).
-        slot.rto_gen += 1;
-        slot.rto_armed = true;
-        let gen = slot.rto_gen;
-        let delay = self.core.shim.as_mut().expect("shim").backoff(0);
-        let at = self.core.now + delay;
-        self.core.push(
-            at,
-            Item::ShimRto {
-                from: owner,
-                to: peer,
-                epoch,
-                gen,
-            },
-        );
     }
 
     /// A sequenced data frame arrived: process its piggybacked ack, then
-    /// deliver the payload iff it is the next in-order frame — duplicates
-    /// and reordered frames update ack state but never reach the
-    /// protocol, which is exactly the reliable-FIFO contract the paper
-    /// assumes.
+    /// deliver the payload iff the receiver slot says it is the next
+    /// in-order frame.
     fn shim_data(
         &mut self,
         from: NodeId,
@@ -1316,31 +1281,17 @@ impl<P: Protocol> Engine<P> {
         }
         self.shim_apply_ack(to, from, link_epoch, ack);
         let shim = self.core.shim.as_mut().expect("shim_data without shim");
-        let ack_idle = shim.ack_idle;
-        let slot = shim.recv_slot(from, to, link_epoch);
-        // Every data arrival creates ack debt; the idle timer guarantees
-        // it is paid even on one-way traffic.
-        slot.ack_owed = true;
-        let deliver = seq == slot.next;
-        if deliver {
-            slot.next += 1;
-        }
-        let arm = if slot.ack_armed {
-            None
-        } else {
-            slot.ack_gen += 1;
-            slot.ack_armed = true;
-            Some(slot.ack_gen)
-        };
-        if let Some(gen) = arm {
-            let at = self.core.now + ack_idle;
+        let timing = shim.timing;
+        let (deliver, arm) = shim.recv_slot(from, to, link_epoch).on_data(seq, &timing);
+        if let Some(arm) = arm {
+            let at = self.core.now + arm.delay;
             self.core.push(
                 at,
                 Item::ShimAckIdle {
                     from,
                     to,
                     epoch: link_epoch,
-                    gen,
+                    gen: arm.gen,
                 },
             );
         }
@@ -1364,55 +1315,19 @@ impl<P: Protocol> Engine<P> {
 
     /// Retransmission timeout fired: resend every buffered frame of the
     /// channel (go-back-N) and re-arm with exponential backoff — or give
-    /// up and discard after `max_retries` consecutive silent timeouts.
-    /// Giving up matters: a crashed peer keeps its links up (crashes are
-    /// silent), so without it every crash would retransmit forever and
-    /// livelock into the event budget.
+    /// up after `max_retries` consecutive silent timeouts.
     fn shim_rto(&mut self, from: NodeId, to: NodeId, epoch: u64, gen: u64) {
         if self.core.world.is_crashed(from) || self.core.links.current_epoch(from, to) != epoch {
             return;
         }
         let shim = self.core.shim.as_mut().expect("shim_rto without shim");
-        let max_retries = shim.max_retries;
-        let slot = shim.send_slot(from, to, epoch);
-        if !slot.rto_armed || slot.rto_gen != gen {
+        let (slot, timing, rng) = shim.send_slot(from, to, epoch);
+        let Timeout::Resend(arm) = slot.on_timeout(gen, timing, rng) else {
             return;
-        }
-        slot.rto_armed = false;
-        if slot.buf.is_empty() {
-            return;
-        }
-        slot.attempts += 1;
-        if slot.attempts > max_retries {
-            slot.base += slot.buf.len() as u64;
-            slot.buf.clear();
-            slot.attempts = 0;
-            return;
-        }
-        let attempts = slot.attempts;
-        slot.rto_gen += 1;
-        slot.rto_armed = true;
-        let gen = slot.rto_gen;
-        let base = slot.base;
-        let frames: Vec<(u64, P::Msg)> = slot
-            .buf
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, m)| (base + i as u64, m))
-            .collect();
+        };
+        let frames: Vec<(u64, P::Msg)> = slot.outstanding().map(|(s, m)| (s, m.clone())).collect();
         self.core.stats.shim.retransmissions += frames.len() as u64;
-        let delay = self.core.shim.as_mut().expect("shim").backoff(attempts);
-        let at = self.core.now + delay;
-        self.core.push(
-            at,
-            Item::ShimRto {
-                from,
-                to,
-                epoch,
-                gen,
-            },
-        );
+        self.push_shim_rto(from, to, epoch, arm);
         let ack = self
             .core
             .shim
@@ -1432,16 +1347,9 @@ impl<P: Protocol> Engine<P> {
             return;
         }
         let shim = self.core.shim.as_mut().expect("shim_ack_idle without shim");
-        let slot = shim.recv_slot(from, to, epoch);
-        if !slot.ack_armed || slot.ack_gen != gen {
+        let Some(ack) = shim.recv_slot(from, to, epoch).on_ack_idle(gen) else {
             return;
-        }
-        slot.ack_armed = false;
-        if !slot.ack_owed {
-            return;
-        }
-        slot.ack_owed = false;
-        let ack = slot.next - 1;
+        };
         self.core.stats.shim.acks_sent += 1;
         self.physical_send(to, from, Wire::Ack { ack });
     }

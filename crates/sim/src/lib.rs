@@ -69,7 +69,7 @@ mod ids;
 mod protocol;
 pub mod rng;
 mod sched;
-mod shim;
+pub mod shim;
 mod time;
 mod trace;
 mod wheel;

@@ -1,15 +1,24 @@
 //! Live-runtime safety and conformance (DESIGN.md §11).
 //!
-//! Short in-process mpsc runs of every live-capable algorithm on a clique
-//! and a ring, each with one mid-run crash: the captured trace must be
-//! safe under the harness monitor, every node thread must join, and the
+//! Short in-process runs of every live-capable algorithm on a clique and
+//! a ring, each with one mid-run crash: the captured trace must be safe
+//! under the harness monitor, every node's worker must join, and the
 //! wire codec must not drop a single frame. A separate test exports one
 //! fault-free one-shot run's delivery timings as a simulator schedule and
 //! asserts the deterministic replay is safe and reproduces the same
 //! eating census — the sim-conformance bridge.
 
 use harness::topology;
-use lme_net::{conformance_replay, run_live, LiveAlg, LiveConfig, TransportKind};
+use lme_net::{conformance_replay, run_live, LiveAlg, LiveConfig, LiveOutcome, TransportKind};
+
+/// The run's ARQ totals must be the sum of the per-node ledgers.
+fn assert_arq_totals_match_net_stats(out: &LiveOutcome, n: usize, alg: LiveAlg) {
+    let net = out.trace.net_stats(n);
+    let rtx: u64 = net.iter().map(|s| s.retransmissions).sum();
+    let acks: u64 = net.iter().map(|s| s.acks_sent).sum();
+    assert_eq!(out.retransmissions, rtx, "{}: retransmissions", alg.name());
+    assert_eq!(out.acks_sent, acks, "{}: acks", alg.name());
+}
 
 fn crash_cfg(alg: LiveAlg, positions: Vec<(f64, f64)>) -> LiveConfig {
     let mut cfg = LiveConfig::new(alg, TransportKind::Mpsc, positions);
@@ -122,6 +131,7 @@ fn reliable_mpsc_runs_stay_safe_with_the_live_shim() {
             assert_eq!(s.decode_errors, 0, "{}: node {i} decode errors", alg.name());
             assert_eq!(s.send_failures, 0, "{}: node {i} send failures", alg.name());
         }
+        assert_arq_totals_match_net_stats(&out, 5, alg);
     }
 }
 
@@ -153,5 +163,6 @@ fn crashed_node_recovers_and_rejoins_on_mpsc() {
             alg.name()
         );
         assert_eq!(out.decode_errors, 0, "{}: decode errors", alg.name());
+        assert_arq_totals_match_net_stats(&out, 4, alg);
     }
 }

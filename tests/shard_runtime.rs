@@ -1,21 +1,22 @@
-//! Sharded live runtime: safety, ticket-range merge, and parity with the
-//! thread-per-node runtime (DESIGN.md §15).
+//! Sharded live runtime: safety, ticket-range merge, and conformance
+//! with the simulator (DESIGN.md §15).
 //!
-//! The sharded runtime runs the same protocol automata on a fixed worker
+//! The sharded runtime runs the protocol automata on a fixed worker
 //! pool, with each shard stamping its own ticket range from a hybrid
 //! logical clock and the ranges merged into one total order at export.
 //! These tests pin the contract of that merge — the order is dense (no
 //! ticket reused or skipped), every shard's stream order survives, and
 //! the merged trace satisfies the very same safety monitor that audits
-//! thread-per-node runs — plus crash/recovery and the conformance bridge
-//! under the new runtime.
+//! simulated runs — plus crash/recovery and the conformance bridge, whose
+//! deterministic replay in the simulator is the reference a live run is
+//! held to.
 
-use harness::topology;
+use harness::{topology, WaypointPlan};
 use lme_net::{
     conformance_replay, merge_stamped, run_live, LiveAlg, LiveConfig, LiveEventKind, LiveRuntime,
     StampedRecord, TransportKind,
 };
-use manet_sim::{NodeId, SimRng};
+use manet_sim::{Command, NodeId, SimRng};
 
 fn sharded_cfg(alg: LiveAlg, positions: Vec<(f64, f64)>, workers: usize) -> LiveConfig {
     let mut cfg = LiveConfig::new(alg, TransportKind::Mpsc, positions);
@@ -54,12 +55,10 @@ fn assert_valid_merge(out: &lme_net::LiveOutcome, n: usize) {
 }
 
 #[test]
-fn crashed_sharded_runs_match_thread_per_node_verdicts() {
-    // The satellite property: for seeded sharded runs on clique:4 and
-    // ring:5 with one crash, the merged order is a valid interleaving and
-    // the safety-monitor verdict matches thread-per-node on the same
-    // scenario (both must be clean — and both *run*, which is the part a
-    // broken merge would sink).
+fn crashed_sharded_runs_stay_safe_with_valid_merges() {
+    // For seeded runs on clique:4 and ring:5 with one crash, the merged
+    // order is a valid interleaving, the safety monitor finds it clean,
+    // every node joins and no frame fails to decode.
     for alg in LiveAlg::all() {
         for (name, positions) in [
             ("clique:4", topology::clique(4)),
@@ -94,43 +93,80 @@ fn crashed_sharded_runs_match_thread_per_node_verdicts() {
                 alg.name()
             );
             assert_valid_merge(&out, n);
-
-            let mut tpn = sharded.clone();
-            tpn.runtime = LiveRuntime::ThreadPerNode;
-            let reference =
-                run_live(&tpn).unwrap_or_else(|e| panic!("{} on {name}: {e}", alg.name()));
-            assert_eq!(
-                out.violations.is_empty(),
-                reference.violations.is_empty(),
-                "{} on {name}: runtimes disagree on the safety verdict",
-                alg.name()
-            );
         }
     }
 }
 
 #[test]
 fn sharded_one_shot_run_conforms_in_the_simulator() {
-    // The conformance bridge must not care which runtime produced the
-    // trace: a fault-free one-shot sharded run's delivery timings replay
-    // safely in the simulator with the same eating census.
-    let mut cfg = LiveConfig::new(LiveAlg::A1Greedy, TransportKind::Mpsc, topology::ring(5));
-    cfg.one_shot = true;
-    cfg.eat_ms = 1;
-    cfg.duration_ms = 5_000;
-    cfg.runtime = LiveRuntime::Sharded { workers: 2 };
-    let out = run_live(&cfg).expect("sharded one-shot run");
-    assert!(out.violations.is_empty(), "{:?}", out.violations);
-    assert_eq!(out.meals, vec![1; 5], "one-shot run must feed every node");
-    assert_valid_merge(&out, 5);
-    let report = conformance_replay(&cfg, &out).expect("replay");
-    assert_eq!(report.sim_violations, 0, "sim replay was unsafe");
+    // The simulator is the reference: a fault-free one-shot run's
+    // delivery timings replay safely in the deterministic engine with the
+    // same eating census, for every live algorithm on a clique and a ring.
+    for alg in LiveAlg::all() {
+        for (name, positions) in [
+            ("clique:4", topology::clique(4)),
+            ("ring:5", topology::ring(5)),
+        ] {
+            let n = positions.len();
+            let mut cfg = LiveConfig::new(alg, TransportKind::Mpsc, positions);
+            cfg.one_shot = true;
+            cfg.eat_ms = 1;
+            cfg.duration_ms = 5_000;
+            cfg.runtime = LiveRuntime::Sharded { workers: 2 };
+            let cell = format!("{} on {name}", alg.name());
+            let out = run_live(&cfg).unwrap_or_else(|e| panic!("{cell}: {e}"));
+            assert!(out.violations.is_empty(), "{cell}: {:?}", out.violations);
+            assert_eq!(
+                out.meals,
+                vec![1; n],
+                "{cell}: one-shot must feed every node"
+            );
+            assert_valid_merge(&out, n);
+            let report = conformance_replay(&cfg, &out).expect("replay");
+            assert_eq!(report.sim_violations, 0, "{cell}: sim replay was unsafe");
+            assert!(
+                report.conforms(),
+                "{cell}: sim census {:?} != live census {:?}",
+                report.sim_census,
+                report.live_census
+            );
+        }
+    }
+}
+
+#[test]
+fn teleports_merge_after_what_the_workers_recorded_before_them() {
+    // The driver stamps a relocation after the latest stamp of every
+    // worker. When it did not, a busy shard's clock ran ahead of the wall
+    // tick, relocations merged before records taken earlier, and the
+    // monitor saw about one violation per meal on this cell. What remains
+    // is a real but rare overlap: a mover relocated while eating next to
+    // an eating node, until its own demotion (DESIGN.md §15).
+    let n = 30;
+    let mut cfg = sharded_cfg(LiveAlg::A2, topology::random_connected(n, 3), 2);
+    cfg.duration_ms = 1_500;
+    cfg.rate = 40.0;
+    let plan = WaypointPlan {
+        area_side: (n as f64 / 1.6).sqrt(),
+        moves: 40,
+        window: (150, 1_350),
+        speed: None,
+        seed: 0xB0B,
+    };
+    for (t, cmd) in plan.commands(n) {
+        if let Command::Teleport { node, dest } = cmd {
+            cfg.moves.push((t.0, node.0, (dest.x, dest.y)));
+        }
+    }
+    let out = run_live(&cfg).expect("teleport run");
+    assert!(out.total_meals() > 500, "{} meals", out.total_meals());
     assert!(
-        report.conforms(),
-        "sim census {:?} != live census {:?}",
-        report.sim_census,
-        report.live_census
+        out.violations.len() * 50 < out.total_meals() as usize,
+        "{} violations in {} meals: driver records merged out of order",
+        out.violations.len(),
+        out.total_meals()
     );
+    assert_valid_merge(&out, n);
 }
 
 #[test]
