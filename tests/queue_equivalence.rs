@@ -6,7 +6,11 @@
 //!
 //! Cells cover topology × mobility × fault combinations over at least
 //! 8 seeds, plus the model checker's DFS/PCT/replay strategies and the
-//! imported-schedule conformance-replay path.
+//! imported-schedule conformance-replay path. Every cell and seed is also
+//! pinned by a golden fingerprint (`GOLDEN_*`), so the suite keeps its
+//! meaning once only one core remains.
+
+mod golden;
 
 use harness::{
     run_algorithm, run_algorithm_with_strategy, topology, AlgKind, RunOutcome, RunReport, RunSpec,
@@ -21,6 +25,21 @@ use manet_sim::{
 
 const SEEDS: std::ops::Range<u64> = 1..9;
 
+/// `(events, trace length, state digest, FNV of stats + trace)`.
+type TraceFp = (u64, usize, Option<u64>, u64);
+/// `(events, messages sent, FNV of the outcome + its JSONL line)`.
+type RunFp = (u64, u64, u64);
+/// `(branch points, trace length, meals, FNV of the whole verdict)`.
+type VerdictFp = (usize, usize, u64, u64);
+
+fn run_fp(out: &RunOutcome, jsonl: &str) -> RunFp {
+    (
+        out.stats.events,
+        out.stats.messages_sent,
+        golden::fnv(&[&format!("{out:?}"), jsonl]),
+    )
+}
+
 /// Run `kind` on `positions` under both event-queue cores and require every
 /// observable artifact — engine stats, metrics, final adjacency, crash set,
 /// structured abort, and the rendered JSONL line — to match exactly.
@@ -30,7 +49,7 @@ fn assert_outcomes_match(
     spec: &RunSpec,
     positions: &[(f64, f64)],
     commands: &[(SimTime, Command)],
-) {
+) -> RunFp {
     let run = |queue: EventQueueKind| -> (RunOutcome, String) {
         let mut spec = spec.clone();
         spec.sim.event_queue = queue;
@@ -63,6 +82,7 @@ fn assert_outcomes_match(
     );
     assert_eq!(heap.abort, wheel.abort, "{ctx}: aborts diverged");
     assert_eq!(heap_jsonl, wheel_jsonl, "{ctx}: JSONL diverged");
+    run_fp(&wheel, &wheel_jsonl)
 }
 
 fn spec_with_seed(seed: u64, horizon: u64, fault: FaultPlan) -> RunSpec {
@@ -130,12 +150,14 @@ fn assert_traces_match(
     seed: u64,
     positions: &[(f64, f64)],
     commands: &[(SimTime, Command)],
-) {
+) -> TraceFp {
     let (ht, hd, hs) = traced_run(seed, positions, commands, EventQueueKind::Heap);
     let (wt, wd, ws) = traced_run(seed, positions, commands, EventQueueKind::Wheel);
     assert_eq!(ht, wt, "{label} / seed {seed}: traces diverged");
     assert_eq!(hd, wd, "{label} / seed {seed}: state digests diverged");
     assert_eq!(hs, ws, "{label} / seed {seed}: stats diverged");
+    let fnv = golden::fnv(&[&format!("{ws:?}"), &format!("{wt:?}")]);
+    (ws.events, wt.len(), wd, fnv)
 }
 
 /// Cell 1: line topology with waypoint motion plus a far-future teleport —
@@ -144,6 +166,7 @@ fn assert_traces_match(
 #[test]
 fn cell_line_motion_with_far_overflow_command() {
     let positions = topology::line(12);
+    let mut got = vec![];
     for seed in SEEDS {
         let mut commands = vec![(
             SimTime(5_500), // scheduled at t=0: far outside any bucket window
@@ -154,21 +177,56 @@ fn cell_line_motion_with_far_overflow_command() {
         )];
         commands.extend(waypoints(12, 6, 6_000, seed ^ 0xB0B));
         commands.sort_by_key(|(t, _)| *t);
-        assert_traces_match("line:12+overflow", seed, &positions, &commands);
+        got.push(assert_traces_match(
+            "line:12+overflow",
+            seed,
+            &positions,
+            &commands,
+        ));
     }
+    golden::assert_golden("GOLDEN_LINE_OVERFLOW", &got, GOLDEN_LINE_OVERFLOW);
 }
+
+const GOLDEN_LINE_OVERFLOW: &[TraceFp] = &[
+    (270, 185, Some(12457471080490927472), 9754069029512088765),
+    (150, 117, Some(16568566440091859853), 16744436382803105798),
+    (329, 199, Some(4977834234189994281), 8455941912848443550),
+    (245, 173, Some(4770661272372506402), 10585394965278767518),
+    (240, 170, Some(15456504733726251301), 5301025224849159719),
+    (272, 180, Some(872434371636432176), 12423225428268527554),
+    (285, 181, Some(7472946084047501873), 11819870302344016815),
+    (307, 196, Some(12355657811612503592), 1812978715136658652),
+];
 
 /// Cell 2: random deployment with smooth random-waypoint motion — dense
 /// same-tick ties (timers, deliveries, link changes) exercise the wheel's
 /// per-bucket FIFO against the heap's `(at, seq)` order.
 #[test]
 fn cell_random_waypoint_smooth_motion() {
+    let mut got = vec![];
     for seed in SEEDS {
         let positions = topology::random_connected(30, seed);
         let commands = waypoints(30, 12, 6_000, seed ^ 0xB0B);
-        assert_traces_match("random:30+waypoint", seed, &positions, &commands);
+        got.push(assert_traces_match(
+            "random:30+waypoint",
+            seed,
+            &positions,
+            &commands,
+        ));
     }
+    golden::assert_golden("GOLDEN_RANDOM_WAYPOINT", &got, GOLDEN_RANDOM_WAYPOINT);
 }
+
+const GOLDEN_RANDOM_WAYPOINT: &[TraceFp] = &[
+    (1440, 1173, Some(12110982335683047575), 4348732102098839728),
+    (1391, 1151, Some(8108669927982665952), 16580043363941449886),
+    (1151, 913, Some(16014727373910864217), 980927769803092739),
+    (1271, 986, Some(6642448168986798697), 14964964494838459863),
+    (1255, 941, Some(5477961652869205207), 13428874774204073384),
+    (1513, 1158, Some(8234757801504966325), 14639790348110779705),
+    (1216, 986, Some(16901891833263576265), 8732693966046746622),
+    (1456, 1140, Some(104767844562973362), 4864076489225160751),
+];
 
 // ---------------------------------------------------------------------
 // Harness-level cells: stats + metrics + JSONL must be byte-identical.
@@ -178,6 +236,7 @@ fn cell_random_waypoint_smooth_motion() {
 #[test]
 fn cell_clique_max_delay_adversary() {
     let positions = topology::clique(8);
+    let mut got = vec![];
     for seed in SEEDS {
         let fault = FaultPlan {
             max_delay: Some(manet_sim::DelayAdversary {
@@ -188,9 +247,27 @@ fn cell_clique_max_delay_adversary() {
         };
         let spec = spec_with_seed(seed, 8_000, fault);
         let commands = waypoints(8, 4, 8_000, seed);
-        assert_outcomes_match("clique:8", AlgKind::A1Greedy, &spec, &positions, &commands);
+        got.push(assert_outcomes_match(
+            "clique:8",
+            AlgKind::A1Greedy,
+            &spec,
+            &positions,
+            &commands,
+        ));
     }
+    golden::assert_golden("GOLDEN_CLIQUE_MAX_DELAY", &got, GOLDEN_CLIQUE_MAX_DELAY);
 }
+
+const GOLDEN_CLIQUE_MAX_DELAY: &[RunFp] = &[
+    (9649, 9012, 17389903254557358271),
+    (10311, 9825, 3162643090028516686),
+    (11473, 10987, 18205446876114389502),
+    (10074, 9476, 13916653047097679375),
+    (8788, 8092, 1620371472550967405),
+    (10631, 10053, 10176380146682762226),
+    (9656, 9008, 17305883377972664791),
+    (9856, 9251, 14147709000470259677),
+];
 
 /// Cell 4: ring under message drop + duplication faults with moves —
 /// duplicate ghosts are pushed with out-of-order timestamps relative to
@@ -198,6 +275,7 @@ fn cell_clique_max_delay_adversary() {
 #[test]
 fn cell_ring_loss_and_duplication() {
     let positions = topology::ring(16);
+    let mut got = vec![];
     for seed in SEEDS {
         let fault = FaultPlan {
             link: Some(manet_sim::LinkFaults {
@@ -209,14 +287,33 @@ fn cell_ring_loss_and_duplication() {
         };
         let spec = spec_with_seed(seed, 8_000, fault);
         let commands = waypoints(16, 5, 8_000, seed);
-        assert_outcomes_match("ring:16", AlgKind::A1Linial, &spec, &positions, &commands);
+        got.push(assert_outcomes_match(
+            "ring:16",
+            AlgKind::A1Linial,
+            &spec,
+            &positions,
+            &commands,
+        ));
     }
+    golden::assert_golden("GOLDEN_RING_LOSS_DUP", &got, GOLDEN_RING_LOSS_DUP);
 }
+
+const GOLDEN_RING_LOSS_DUP: &[RunFp] = &[
+    (1340, 972, 1612761531562423795),
+    (686, 530, 9512834012097606363),
+    (534, 341, 3914150679590616858),
+    (1264, 885, 17499177082053538825),
+    (1364, 1072, 133003125993501390),
+    (1025, 751, 10908202936642415614),
+    (1011, 748, 625495815254826307),
+    (1195, 841, 496366397604762506),
+];
 
 /// Cell 5: random deployment with a crash wave and a partition window
 /// under waypoint motion.
 #[test]
 fn cell_random_crash_wave_and_partition() {
+    let mut got = vec![];
     for seed in SEEDS {
         let positions = topology::random_connected(40, seed);
         let fault = FaultPlan {
@@ -233,9 +330,27 @@ fn cell_random_crash_wave_and_partition() {
         };
         let spec = spec_with_seed(seed, 9_000, fault);
         let commands = waypoints(40, 8, 9_000, seed ^ 0xFEED);
-        assert_outcomes_match("random:40", AlgKind::A2, &spec, &positions, &commands);
+        got.push(assert_outcomes_match(
+            "random:40",
+            AlgKind::A2,
+            &spec,
+            &positions,
+            &commands,
+        ));
     }
+    golden::assert_golden("GOLDEN_RANDOM_CRASH", &got, GOLDEN_RANDOM_CRASH);
 }
+
+const GOLDEN_RANDOM_CRASH: &[RunFp] = &[
+    (69569, 66128, 15595579046460343516),
+    (59098, 55488, 6477052724900830331),
+    (52538, 48902, 13971898116561450886),
+    (71346, 67923, 17810398697973157365),
+    (49815, 45829, 3080396947337255966),
+    (45550, 42282, 13486059618141341139),
+    (60119, 56487, 8910001309602060416),
+    (64923, 61242, 15412959454005307999),
+];
 
 // ---------------------------------------------------------------------
 // Checker-level cells: every exploration strategy must see the same runs.
@@ -251,7 +366,7 @@ fn checked_verdicts(alg: AlgKind, plan: &Plan, queue: EventQueueKind) -> lme_che
     run_schedule(&spec, plan)
 }
 
-fn assert_verdicts_match(alg: AlgKind, plan: &Plan) {
+fn assert_verdicts_match(alg: AlgKind, plan: &Plan) -> VerdictFp {
     let heap = checked_verdicts(alg, plan, EventQueueKind::Heap);
     let wheel = checked_verdicts(alg, plan, EventQueueKind::Wheel);
     let ctx = format!("{} / {plan:?}", alg.name());
@@ -261,37 +376,108 @@ fn assert_verdicts_match(alg: AlgKind, plan: &Plan) {
     assert_eq!(heap.drained, wheel.drained, "{ctx}: drain status diverged");
     assert_eq!(heap.meals, wheel.meals, "{ctx}: meal counts diverged");
     assert_eq!(heap.abort, wheel.abort, "{ctx}: aborts diverged");
+    let fnv = golden::fnv(&[&format!("{wheel:?}")]);
+    (wheel.choices.len(), wheel.trace.len(), wheel.meals, fnv)
 }
 
 /// Cell 6: the model checker's DFS, PCT, random-walk, and replay
 /// strategies resolve identical branch points on both cores.
 #[test]
 fn cell_check_strategies_agree_across_cores() {
-    for alg in [AlgKind::A1Greedy, AlgKind::A2] {
-        assert_verdicts_match(
-            alg,
-            &Plan::Dfs {
-                prefix: vec![],
-                dedup: true,
-            },
-        );
-        assert_verdicts_match(
-            alg,
-            &Plan::Dfs {
-                prefix: vec![1, 1, 0],
-                dedup: false,
-            },
-        );
+    for (alg, name, want) in [
+        (
+            AlgKind::A1Greedy,
+            "GOLDEN_CHECK_A1_GREEDY",
+            GOLDEN_CHECK_A1_GREEDY,
+        ),
+        (AlgKind::A2, "GOLDEN_CHECK_A2", GOLDEN_CHECK_A2),
+    ] {
+        let mut got = vec![
+            assert_verdicts_match(
+                alg,
+                &Plan::Dfs {
+                    prefix: vec![],
+                    dedup: true,
+                },
+            ),
+            assert_verdicts_match(
+                alg,
+                &Plan::Dfs {
+                    prefix: vec![1, 1, 0],
+                    dedup: false,
+                },
+            ),
+        ];
         for seed in SEEDS {
-            assert_verdicts_match(alg, &Plan::Pct { seed, changes: 3 });
-            assert_verdicts_match(alg, &Plan::Random { seed });
+            got.push(assert_verdicts_match(alg, &Plan::Pct { seed, changes: 3 }));
+            got.push(assert_verdicts_match(alg, &Plan::Random { seed }));
             // Replay the random walk's recorded delays on both cores.
             let sampled = checked_verdicts(alg, &Plan::Random { seed }, EventQueueKind::Heap);
             let delays: Vec<u64> = sampled.choices.iter().map(|c| c.delay).collect();
-            assert_verdicts_match(alg, &Plan::Replay { delays });
+            got.push(assert_verdicts_match(alg, &Plan::Replay { delays }));
         }
+        golden::assert_golden(name, &got, want);
     }
 }
+
+/// Per algorithm: DFS (dedup), DFS from a prefix, then PCT, random walk
+/// and replay of that walk for each seed.
+const GOLDEN_CHECK_A1_GREEDY: &[VerdictFp] = &[
+    (40, 53, 4, 10439509979509333040),
+    (36, 52, 4, 2114690029294788702),
+    (29, 53, 4, 8440891938772984058),
+    (30, 49, 4, 11693401435089589301),
+    (30, 49, 4, 11693401435089589301),
+    (30, 53, 4, 15167164695630697327),
+    (37, 53, 4, 12026578636504038166),
+    (37, 53, 4, 12026578636504038166),
+    (34, 53, 4, 4869181709413737087),
+    (39, 53, 4, 10644904031347349845),
+    (39, 53, 4, 10644904031347349845),
+    (26, 53, 4, 17292057590249307157),
+    (38, 53, 4, 2403138470660719020),
+    (38, 53, 4, 2403138470660719020),
+    (29, 53, 4, 8755961731016764891),
+    (33, 53, 4, 2680174263333083234),
+    (33, 53, 4, 2680174263333083234),
+    (31, 53, 4, 4224845482701651149),
+    (38, 53, 4, 17771529019184829691),
+    (38, 53, 4, 17771529019184829691),
+    (35, 53, 4, 17480705871003861967),
+    (39, 53, 4, 18421687790552891791),
+    (39, 53, 4, 18421687790552891791),
+    (28, 53, 4, 2274119674781658661),
+    (38, 53, 4, 10688573253494070568),
+    (38, 53, 4, 10688573253494070568),
+];
+const GOLDEN_CHECK_A2: &[VerdictFp] = &[
+    (19, 32, 4, 5301263824817786118),
+    (18, 32, 4, 2751577005547902587),
+    (19, 33, 4, 4628484519228965573),
+    (19, 32, 4, 3701755416806414445),
+    (19, 32, 4, 3701755416806414445),
+    (18, 33, 4, 8310000240543437496),
+    (20, 32, 4, 5894671409778120441),
+    (20, 32, 4, 5894671409778120441),
+    (18, 33, 4, 5908900152698525593),
+    (21, 33, 4, 214031021984195015),
+    (21, 33, 4, 214031021984195015),
+    (18, 33, 4, 16903312490332059170),
+    (20, 32, 4, 12774222029867476095),
+    (20, 32, 4, 12774222029867476095),
+    (17, 32, 4, 12856392944034363634),
+    (20, 33, 4, 17676011867221171896),
+    (20, 33, 4, 17676011867221171896),
+    (18, 33, 4, 9796973211594856555),
+    (20, 33, 4, 11653013913748478662),
+    (20, 33, 4, 11653013913748478662),
+    (20, 33, 4, 10096734980500295263),
+    (19, 32, 4, 18165167762670549338),
+    (19, 32, 4, 18165167762670549338),
+    (18, 33, 4, 12740335016722620000),
+    (19, 33, 4, 5338603746507266426),
+    (19, 33, 4, 5338603746507266426),
+];
 
 // ---------------------------------------------------------------------
 // Imported-schedule cells: the conformance-replay path of live runs.
@@ -328,6 +514,7 @@ fn replay_outcome(
 /// same outcome and JSONL on both cores.
 #[test]
 fn cell_imported_schedule_replay_agrees() {
+    let mut got = vec![];
     for seed in SEEDS {
         let build = || {
             let nu = SimConfig::default().max_message_delay;
@@ -351,8 +538,21 @@ fn cell_imported_schedule_replay_agrees() {
         assert_eq!(heap.abort, None, "seed {seed}: in-window replay aborted");
         assert_eq!(heap.stats, wheel.stats, "seed {seed}: stats diverged");
         assert_eq!(heap_jsonl, wheel_jsonl, "seed {seed}: JSONL diverged");
+        got.push(run_fp(&wheel, &wheel_jsonl));
     }
+    golden::assert_golden("GOLDEN_IMPORTED_REPLAY", &got, GOLDEN_IMPORTED_REPLAY);
 }
+
+const GOLDEN_IMPORTED_REPLAY: &[RunFp] = &[
+    (5319, 4909, 6609392099353141863),
+    (5213, 4817, 6726769326216760567),
+    (5258, 4849, 14300384134097461168),
+    (5283, 4877, 16932928181514732390),
+    (5408, 5000, 15620683521705597348),
+    (5491, 5084, 4479375386373635744),
+    (5241, 4844, 981394109194134175),
+    (5189, 4792, 13710917804769956451),
+];
 
 /// Cell 8: a malformed recording (delay below the legal window) is
 /// rejected with the *same* structured abort on both cores — the bugfix
@@ -375,7 +575,14 @@ fn cell_malformed_replay_rejected_identically() {
     );
     assert_eq!(heap.abort, wheel.abort, "aborts diverged");
     assert_eq!(heap_jsonl, wheel_jsonl, "JSONL diverged");
+    golden::assert_golden(
+        "GOLDEN_MALFORMED_REPLAY",
+        &[run_fp(&wheel, &wheel_jsonl)],
+        GOLDEN_MALFORMED_REPLAY,
+    );
 }
+
+const GOLDEN_MALFORMED_REPLAY: &[RunFp] = &[(1, 5, 8841909730080937898)];
 
 // ---------------------------------------------------------------------
 // Sweep-level cell: parallel JSONL identical across cores and job counts.
@@ -412,7 +619,15 @@ fn cell_sweep_jsonl_identical_across_cores_and_jobs() {
     );
     assert_eq!(heap_serial, wheel_serial, "cores rendered different JSONL");
     assert_eq!(heap_serial.lines().count(), 8);
+    golden::assert_golden(
+        "GOLDEN_SWEEP_JSONL",
+        &[golden::fnv(&[&wheel_serial])],
+        GOLDEN_SWEEP_JSONL,
+    );
 }
+
+/// FNV of the sweep's JSONL (identical at `--jobs 1` and `4`).
+const GOLDEN_SWEEP_JSONL: &[u64] = &[9984736937795347684];
 
 // ---------------------------------------------------------------------
 // Strategy sanity: the suite's own plumbing.
