@@ -6,7 +6,7 @@
 use harness::{topology, Workload};
 use local_mutex::testutil::SafetyCheck;
 use local_mutex::Algorithm2;
-use manet_sim::{Engine, EventQueueKind, NodeId, SimConfig, SimTime};
+use manet_sim::{Engine, NodeId, SimConfig, SimTime};
 
 /// A full Algorithm 2 run on a 20-node line: measures end-to-end engine +
 /// protocol throughput (events/second is reported via wall time).
@@ -28,32 +28,22 @@ fn bench_line_run() {
     }
 }
 
-/// Event-core comparison on the identical workload: the binary-heap
-/// reference vs the bounded-horizon timing wheel. Both sinks must print
-/// the same hash — the cores are bit-for-bit equivalent (see
-/// `tests/queue_equivalence.rs`); only the wall time may differ. The full
-/// dispatch-bound ladder lives in `lme bench engine`.
-fn bench_event_cores() {
-    for kind in [EventQueueKind::Heap, EventQueueKind::Wheel] {
-        lme_bench::bench(
-            &format!("engine/a2_ring24_core_{}", kind.name()),
-            10,
-            || {
-                let cfg = SimConfig {
-                    event_queue: kind,
-                    ..SimConfig::default()
-                };
-                let mut e: Engine<Algorithm2> =
-                    Engine::new(cfg, topology::ring(24), |seed| Algorithm2::new(&seed));
-                e.add_hook(Box::new(Workload::cyclic(10..=30, 50..=150, 1)));
-                for i in 0..24 {
-                    e.set_hungry_at(SimTime(1), NodeId(i));
-                }
-                e.run_until(SimTime(8_000));
-                e.stats().events
-            },
-        );
-    }
+/// A cyclic Algorithm 2 run on a 24-node ring without the safety hook:
+/// event-core and dispatch cost. The full dispatch-bound ladder lives in
+/// `lme bench engine`.
+fn bench_ring_run() {
+    lme_bench::bench("engine/a2_ring24", 10, || {
+        let mut e: Engine<Algorithm2> =
+            Engine::new(SimConfig::default(), topology::ring(24), |seed| {
+                Algorithm2::new(&seed)
+            });
+        e.add_hook(Box::new(Workload::cyclic(10..=30, 50..=150, 1)));
+        for i in 0..24 {
+            e.set_hungry_at(SimTime(1), NodeId(i));
+        }
+        e.run_until(SimTime(8_000));
+        e.stats().events
+    });
 }
 
 /// Doorway-demo traversal cost: the double doorway under a recycling
@@ -82,6 +72,6 @@ fn bench_doorway_demo() {
 
 fn main() {
     bench_line_run();
-    bench_event_cores();
+    bench_ring_run();
     bench_doorway_demo();
 }

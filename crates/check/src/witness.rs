@@ -98,7 +98,6 @@ impl Witness {
             eat: self.eat,
             hungry: self.hungry.clone(),
             mutation: Mutation::parse(&self.mutation)?,
-            event_queue: manet_sim::EventQueueKind::default(),
             // Witnesses describe bare-channel schedules; the shim's own
             // timers would shift every branch point, so replay never arms it.
             arq: None,

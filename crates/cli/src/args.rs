@@ -197,9 +197,6 @@ pub struct Cli {
     /// default: `BENCH_scale.json` / `BENCH_live.json` /
     /// `BENCH_engine.json`).
     pub bench_out: Option<String>,
-    /// Bench: largest n at which the pairwise reference engine also runs
-    /// (it is O(n²); past this only the grid engine is measured).
-    pub bench_pairwise_cap: usize,
     /// Live: which transport carries the frames.
     pub transport: TransportKind,
     /// Live: wall-clock run length in milliseconds.
@@ -275,7 +272,6 @@ impl Default for Cli {
             bench_ns: vec![1_000, 2_500, 5_000, 10_000],
             bench_steps: 20_000,
             bench_out: None,
-            bench_pairwise_cap: 2_500,
             transport: TransportKind::Mpsc,
             duration_ms: 2_000,
             rate: 25.0,
@@ -305,14 +301,14 @@ commands:
   check   explore the legal delivery schedules of a small model for
           safety/liveness violations; shrink and replay witnesses
   bench   `bench scale`: random-waypoint link-derivation cost of the
-          spatial-grid engine vs the pairwise reference across a node
-          ladder, written as a JSON trajectory
+          spatial-grid link engine across a node ladder, written as a
+          JSON trajectory (BENCH_scale.json)
           `bench live`: wall-clock throughput (eating sessions/sec) and
           hungry->eat latency percentiles of every live-capable
           algorithm over a real transport, written as BENCH_live.json
-          `bench engine`: ns/event of the binary-heap vs timing-wheel
-          event cores on a dispatch-bound workload across a node
-          ladder, written as BENCH_engine.json
+          `bench engine`: ns/event of the timing-wheel event core on
+          a dispatch-bound workload across a node ladder, written as
+          BENCH_engine.json
           `bench channel`: every channel model x {clique:8, ring:8},
           reporting meals, response percentiles and channel counters,
           written as BENCH_channel.json
@@ -395,8 +391,6 @@ scaling benchmark (bench scale):
   --ns <a,b,...>       node-count ladder        (default 1000,2500,5000,10000)
   --steps-per-n <k>    relocation steps per n   (default 20000)
   --out <p>            JSON trajectory path     (default BENCH_scale.json)
-  --pairwise-cap <n>   largest n that also runs the O(n^2) reference
-                       engine                   (default 2500)
 
 event-core benchmark (bench engine):
   --ns <a,b,...>       node-count ladder        (default 1000,2500,5000,10000)
@@ -699,9 +693,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Cli, String> {
                 }
             }
             "--out" => cli.bench_out = Some(value("--out")?),
-            "--pairwise-cap" => {
-                cli.bench_pairwise_cap = parse_usize(&value("--pairwise-cap")?, "pairwise cap")?;
-            }
             "--transport" => cli.transport = TransportKind::parse(&value("--transport")?)?,
             "--duration" => {
                 cli.duration_ms = parse_u64(&value("--duration")?, "duration")?;
@@ -973,7 +964,7 @@ mod tests {
     #[test]
     fn parses_bench_flags() {
         let cli = parse(argv(
-            "bench scale --ns 100,200 --steps-per-n 500 --out b.json --pairwise-cap 150",
+            "bench scale --ns 100,200 --steps-per-n 500 --out b.json",
         ))
         .unwrap();
         assert_eq!(cli.command, Command::Bench);
@@ -981,7 +972,6 @@ mod tests {
         assert_eq!(cli.bench_ns, vec![100, 200]);
         assert_eq!(cli.bench_steps, 500);
         assert_eq!(cli.bench_out.as_deref(), Some("b.json"));
-        assert_eq!(cli.bench_pairwise_cap, 150);
         // The mode word is optional (scale is the default).
         let default = parse(argv("bench")).unwrap();
         assert_eq!(default.command, Command::Bench);

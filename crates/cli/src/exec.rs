@@ -12,8 +12,8 @@ use lme_check::{
 use lme_net::{conformance_replay, run_live, LiveAlg, LiveConfig, LiveOutcome, LiveRuntime};
 use manet_sim::{
     ArqConfig, ChannelConfig, Context, CrashWave, DelayAdversary, DiningState, Engine, Event,
-    EventQueueKind, FaultPlan, LinkEngine, LinkFaults, NodeId, PartitionWindow, Position, Protocol,
-    SimConfig, SimRng, SimTime, World,
+    FaultPlan, LinkFaults, NodeId, PartitionWindow, Position, Protocol, SimConfig, SimRng, SimTime,
+    World,
 };
 
 use crate::args::{BenchMode, Cli, Command, TopoSpec, USAGE};
@@ -769,7 +769,6 @@ fn render_certify(cli: &Cli) -> Result<String, String> {
 /// One measured cell of the scaling benchmark.
 struct BenchRow {
     n: usize,
-    engine: &'static str,
     steps: usize,
     elapsed_ns: u128,
     /// Candidate peers examined across all relocations — the
@@ -790,17 +789,16 @@ impl BenchRow {
 }
 
 /// Measure `steps` random local motions on an `n`-node constant-density
-/// random deployment under one link engine. Constant density (the
-/// `random_connected` convention: ≈ 1.6 nodes per unit square) is the
-/// regime where the grid's cost stays flat while the pairwise scan grows
-/// linearly with n.
-fn bench_cell(n: usize, seed: u64, steps: usize, engine: LinkEngine) -> BenchRow {
+/// random deployment. Constant density (the `random_connected`
+/// convention: ≈ 1.6 nodes per unit square) is the regime where the
+/// grid's per-step cost stays flat as n grows.
+fn bench_cell(n: usize, seed: u64, steps: usize) -> BenchRow {
     let side = (n as f64 / 1.6).sqrt().max(2.0);
     let positions: Vec<Position> = topology::random_points(n, side, seed)
         .into_iter()
         .map(Position::from)
         .collect();
-    let mut world = World::with_engine(SimConfig::default().radio_range, positions, engine);
+    let mut world = World::new(SimConfig::default().radio_range, positions);
     let mut rng = SimRng::seed_from_u64(seed ^ 0x5CA1_E000);
     let step_len = 0.25;
     let mut link_changes = 0u64;
@@ -821,10 +819,6 @@ fn bench_cell(n: usize, seed: u64, steps: usize, engine: LinkEngine) -> BenchRow
         .sum();
     BenchRow {
         n,
-        engine: match engine {
-            LinkEngine::Grid => "grid",
-            LinkEngine::Pairwise => "pairwise",
-        },
         steps,
         elapsed_ns,
         candidates: world.candidates_examined(),
@@ -850,7 +844,7 @@ impl Protocol for Ticker {
             Event::Hungry => {
                 // Fan out four independent timer chains per node so the
                 // pending set is a few times n — the regime where the
-                // O(log n) heap pays per event and the wheel does not.
+                // O(log n) heap would pay per event and the wheel does not.
                 for lane in 0..4 {
                     ctx.set_timer(1 + lane, lane);
                 }
@@ -884,7 +878,6 @@ impl Protocol for Ticker {
 /// One measured cell of the event-core benchmark.
 struct BenchEngineRow {
     n: usize,
-    core: &'static str,
     events: u64,
     elapsed_ns: u128,
 }
@@ -896,20 +889,13 @@ impl BenchEngineRow {
 }
 
 /// Run the ticker workload on an `n`-node constant-density deployment
-/// under one event-queue core until at least `min_events` events have
-/// dispatched. Only the run loop is timed (world construction is core-
-/// independent and excluded).
-fn bench_engine_cell(
-    n: usize,
-    seed: u64,
-    min_events: u64,
-    queue: EventQueueKind,
-) -> Result<(BenchEngineRow, manet_sim::EngineStats), String> {
+/// until at least `min_events` events have dispatched. Only the run loop
+/// is timed (world construction is excluded).
+fn bench_engine_cell(n: usize, seed: u64, min_events: u64) -> Result<BenchEngineRow, String> {
     let side = (n as f64 / 1.6).sqrt().max(2.0);
     let positions = topology::random_points(n, side, seed);
     let cfg = SimConfig {
         seed,
-        event_queue: queue,
         ..SimConfig::default()
     };
     let mut eng = Engine::new(cfg, positions, |_| Ticker { token: 0, pings: 0 });
@@ -928,68 +914,42 @@ fn bench_engine_cell(
             return Err(format!("bench engine: n = {n} drained unexpectedly"));
         }
     }
-    let elapsed_ns = start.elapsed().as_nanos();
-    let stats = eng.stats().clone();
-    Ok((
-        BenchEngineRow {
-            n,
-            core: queue.name(),
-            events: stats.events,
-            elapsed_ns,
-        },
-        stats,
-    ))
+    Ok(BenchEngineRow {
+        n,
+        events: eng.stats().events,
+        elapsed_ns: start.elapsed().as_nanos(),
+    })
 }
 
-/// `lme bench engine`: ns/event of the binary-heap vs timing-wheel event
-/// cores on the dispatch-bound ticker workload, written as JSON. The two
-/// cores must agree on every [`manet_sim::EngineStats`] counter — the
-/// benchmark doubles as a cheap conformance check.
+/// `lme bench engine`: ns/event of the timing-wheel event core on the
+/// dispatch-bound ticker workload, written as JSON. `events` per n is a
+/// deterministic function of the seed, so committed rows double as a
+/// machine-independent regression check; the timings are informative.
 fn render_bench_engine(cli: &Cli) -> Result<String, String> {
     let out_path = cli
         .bench_out
         .clone()
         .unwrap_or_else(|| "BENCH_engine.json".to_string());
     let mut rows = Vec::new();
-    let mut pairs = Vec::new();
     for &n in &cli.bench_ns {
         let target = (cli.bench_steps as u64).max(50 * n as u64);
-        let (heap, heap_stats) = bench_engine_cell(n, cli.seed, target, EventQueueKind::Heap)?;
-        let (wheel, wheel_stats) = bench_engine_cell(n, cli.seed, target, EventQueueKind::Wheel)?;
-        if heap_stats != wheel_stats {
-            return Err(format!(
-                "bench engine: cores diverged at n = {n}\n  heap:  {heap_stats:?}\n  wheel: {wheel_stats:?}"
-            ));
-        }
-        pairs.push((n, heap.ns_per_event(), wheel.ns_per_event()));
-        rows.push(heap);
-        rows.push(wheel);
+        rows.push(bench_engine_cell(n, cli.seed, target)?);
     }
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"engine\",\n");
     json.push_str(&format!("  \"seed\": {},\n", cli.seed));
+    json.push_str(&format!("  \"nproc\": {},\n", nproc()));
     json.push_str(&format!("  \"min_events_per_n\": {},\n", cli.bench_steps));
     json.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"n\": {}, \"core\": \"{}\", \"events\": {}, \"elapsed_ns\": {}, \
+            "    {{\"n\": {}, \"core\": \"wheel\", \"events\": {}, \"elapsed_ns\": {}, \
              \"ns_per_event\": {:.1}}}{}\n",
             r.n,
-            r.core,
             r.events,
             r.elapsed_ns,
             r.ns_per_event(),
             if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"speedup\": [\n");
-    for (i, (n, heap_ns, wheel_ns)) in pairs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"n\": {n}, \"heap_ns_per_event\": {heap_ns:.1}, \
-             \"wheel_ns_per_event\": {wheel_ns:.1}, \"wheel_speedup\": {:.2}}}{}\n",
-            heap_ns / wheel_ns,
-            if i + 1 < pairs.len() { "," } else { "" }
         ));
     }
     json.push_str("  ]\n}\n");
@@ -998,28 +958,22 @@ fn render_bench_engine(cli: &Cli) -> Result<String, String> {
         "bench engine: dispatch-bound ticker workload, seed {}, >= max({}, 50n) events per cell\n",
         cli.seed, cli.bench_steps
     );
-    let mut table = Table::new(&["n", "core", "events", "ns/event", "wheel speedup"]);
+    let mut table = Table::new(&["n", "events", "ns/event"]);
     for r in &rows {
-        let speedup = pairs
-            .iter()
-            .find(|(n, _, _)| *n == r.n)
-            .map(|(_, h, w)| h / w)
-            .unwrap_or(1.0);
         table.row([
             r.n.to_string(),
-            r.core.to_string(),
             r.events.to_string(),
             format!("{:.0}", r.ns_per_event()),
-            if r.core == "wheel" {
-                format!("{speedup:.2}x")
-            } else {
-                String::new()
-            },
         ]);
     }
     s.push_str(&table.to_string());
     s.push_str(&format!("results written to {out_path}\n"));
     Ok(s)
+}
+
+/// Logical CPUs of the host, stamped into benchmark JSON next to timings.
+fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 /// Map the generic `--alg` flag onto the live-capable subset (everything
@@ -1395,15 +1349,7 @@ fn render_bench_scale(cli: &Cli) -> Result<String, String> {
         .unwrap_or_else(|| "BENCH_scale.json".to_string());
     let mut rows = Vec::new();
     for &n in &cli.bench_ns {
-        rows.push(bench_cell(n, cli.seed, cli.bench_steps, LinkEngine::Grid));
-        if n <= cli.bench_pairwise_cap {
-            rows.push(bench_cell(
-                n,
-                cli.seed,
-                cli.bench_steps,
-                LinkEngine::Pairwise,
-            ));
-        }
+        rows.push(bench_cell(n, cli.seed, cli.bench_steps));
     }
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"scale\",\n");
@@ -1413,18 +1359,14 @@ fn render_bench_scale(cli: &Cli) -> Result<String, String> {
     ));
     json.push_str(&format!("  \"seed\": {},\n", cli.seed));
     json.push_str(&format!("  \"steps_per_n\": {},\n", cli.bench_steps));
-    json.push_str(&format!(
-        "  \"pairwise_cap\": {},\n",
-        cli.bench_pairwise_cap
-    ));
+    json.push_str(&format!("  \"nproc\": {},\n", nproc()));
     json.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"n\": {}, \"engine\": \"{}\", \"steps\": {}, \"elapsed_ns\": {}, \
+            "    {{\"n\": {}, \"engine\": \"grid\", \"steps\": {}, \"elapsed_ns\": {}, \
              \"ns_per_step\": {:.1}, \"candidates_per_step\": {:.2}, \
              \"avg_degree\": {:.2}, \"link_changes\": {}}}{}\n",
             r.n,
-            r.engine,
             r.steps,
             r.elapsed_ns,
             r.ns_per_step(),
@@ -1444,7 +1386,6 @@ fn render_bench_scale(cli: &Cli) -> Result<String, String> {
     );
     let mut table = Table::new(&[
         "n",
-        "engine",
         "ns/step",
         "candidates/step",
         "avg degree",
@@ -1453,7 +1394,6 @@ fn render_bench_scale(cli: &Cli) -> Result<String, String> {
     for r in &rows {
         table.row([
             r.n.to_string(),
-            r.engine.to_string(),
             format!("{:.0}", r.ns_per_step()),
             format!("{:.2}", r.candidates_per_step()),
             format!("{:.2}", r.avg_degree),
@@ -2101,18 +2041,20 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("scale.json");
         let out = run_cli(argv(&format!(
-            "bench scale --ns 64,256 --steps-per-n 200 --pairwise-cap 256 --out {}",
+            "bench scale --ns 64,256 --steps-per-n 200 --out {}",
             path.display()
         )))
         .unwrap();
         assert!(out.contains("trajectory written to"), "{out}");
         let json = std::fs::read_to_string(&path).unwrap();
-        // The pairwise engine examines exactly n − 1 candidates per step.
-        assert!(json.contains("\"candidates_per_step\": 63.00"), "{json}");
-        assert!(json.contains("\"candidates_per_step\": 255.00"), "{json}");
-        // The grid engine's candidate count tracks local density (≈ 30 at
-        // 1.6 nodes per unit² and range 1.5), independent of n.
-        for line in json.lines().filter(|l| l.contains("\"engine\": \"grid\"")) {
+        // The grid's candidate count tracks local density (≈ 30 at 1.6
+        // nodes per unit² and range 1.5), independent of n.
+        let rows: Vec<&str> = json
+            .lines()
+            .filter(|l| l.contains("\"engine\": \"grid\""))
+            .collect();
+        assert_eq!(rows.len(), 2, "{json}");
+        for line in rows {
             let c = line
                 .split("\"candidates_per_step\": ")
                 .nth(1)

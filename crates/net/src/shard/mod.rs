@@ -7,10 +7,11 @@
 //! - **Contiguous shards.** Worker s owns nodes `[start_s, start_s +
 //!   size_s)`; ownership never migrates, so all per-node state is
 //!   thread-local to its worker.
-//! - **Per-shard run queues on a timing wheel.** Each worker drives its
-//!   nodes from a [`wheel::ShardWheel`] — the live mirror of the sim
-//!   core's bounded-horizon event queue — plus a local delivery queue
-//!   for same-shard traffic.
+//! - **Per-shard run queues on the simulator's timing wheel.** Each
+//!   worker drives its node wakeups from a [`manet_sim::EventQueue`]
+//!   keyed on virtual ticks — the same bounded-horizon queue the engine
+//!   dispatches from — plus a local delivery queue for same-shard
+//!   traffic.
 //! - **Batched frames.** Cross-shard envelopes accumulate into one
 //!   buffer per shard pair per flush ([`batch`]), riding a bounded SPSC
 //!   ring ([`ring`]) in-process or a single datagram on UDP.
@@ -33,7 +34,6 @@
 mod batch;
 pub mod clock;
 mod ring;
-mod wheel;
 
 pub(crate) use clock::PublishedClock;
 pub use clock::{merge_stamped, HybridClock, StampedRecord};
@@ -47,7 +47,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
-use manet_sim::{LinkChange, LinkUpKind, NodeId, NodeSeed, Position, Protocol, SimConfig, World};
+use manet_sim::{
+    EventQueue, LinkChange, LinkUpKind, NodeId, NodeSeed, Position, Protocol, SimConfig, SimTime,
+    World,
+};
 
 use crate::codec::WireMsg;
 use crate::host::{Ctrl, HostConfig, NodeHost, WireOut};
@@ -57,7 +60,6 @@ use crate::transport::{LinkGate, TransportKind};
 
 use batch::{batch_begin, batch_count, batch_decode, batch_push, batch_seal};
 use ring::{ring, RingReceiver, RingSender};
-use wheel::ShardWheel;
 
 /// Why a sharded run stopped instead of finishing — the live runtime's
 /// analogue of the simulator's `RunAbort`. Rendered into the `Err`
@@ -235,22 +237,58 @@ struct WorkerEnv {
     shard_map: Arc<Vec<u32>>,
 }
 
-fn rearm<P>(
-    node: &NodeHost<P>,
-    i: usize,
+/// A worker's node wakeups: the simulator's event queue keyed on virtual
+/// ticks (`wall_ns / tick_ns`), plus the tick armed per node, so a node
+/// is re-armed only when its earliest deadline moves earlier.
+struct Wakeups {
+    queue: EventQueue<u32>,
+    /// Push counter; the queue breaks same-tick ties by it.
+    seq: u64,
+    next_wake: Vec<Option<u64>>,
     tick_ns: u64,
-    wheel: &mut ShardWheel,
-    next_wake: &mut [Option<u64>],
-) where
-    P: Protocol,
-    P::Msg: WireMsg,
-{
-    if let Some(at) = node.earliest_deadline_ns() {
-        let tick = at.div_ceil(tick_ns);
-        if next_wake[i].is_none_or(|armed| tick < armed) {
-            wheel.schedule(tick, i as u32);
-            next_wake[i] = Some(tick);
+}
+
+impl Wakeups {
+    fn new(nodes: usize, tick_ns: u64) -> Wakeups {
+        Wakeups {
+            queue: EventQueue::new(1024),
+            seq: 0,
+            next_wake: vec![None; nodes],
+            tick_ns,
         }
+    }
+
+    /// Arm node `i`'s earliest deadline, unless a tick at or before it is
+    /// already armed.
+    fn rearm<P>(&mut self, node: &NodeHost<P>, i: usize)
+    where
+        P: Protocol,
+        P::Msg: WireMsg,
+    {
+        if let Some(at) = node.earliest_deadline_ns() {
+            let tick = at.div_ceil(self.tick_ns);
+            if self.next_wake[i].is_none_or(|armed| tick < armed) {
+                self.seq += 1;
+                self.queue.push(SimTime(tick), self.seq, i as u32);
+                self.next_wake[i] = Some(tick);
+            }
+        }
+    }
+
+    /// Move every wakeup due at or before `now_ns` into `due`.
+    fn pop_due(&mut self, now_ns: u64, due: &mut Vec<u32>) {
+        let now_tick = now_ns / self.tick_ns;
+        while self.queue.next_at().is_some_and(|at| at.0 <= now_tick) {
+            let (_, _, i) = self.queue.pop().expect("a peeked wakeup pops");
+            due.push(i);
+        }
+    }
+
+    /// Wall time of the earliest armed wakeup.
+    fn next_ns(&mut self) -> Option<u64> {
+        self.queue
+            .next_at()
+            .map(|t| t.0.saturating_mul(self.tick_ns))
     }
 }
 
@@ -364,8 +402,7 @@ where
 {
     let udp = matches!(links, Links::Udp { .. });
     let mut wire = WireOut::new(shared.clocks[env.shard as usize].clone());
-    let mut wheel = ShardWheel::new(1024);
-    let mut next_wake: Vec<Option<u64>> = vec![None; nodes.len()];
+    let mut wakeups = Wakeups::new(nodes.len(), env.tick_ns);
     let mut local_q: VecDeque<(NodeId, Vec<u8>)> = VecDeque::new();
     let mut out_bufs: Vec<Vec<u8>> = (0..env.workers).map(|_| batch_begin(env.shard)).collect();
     let mut ready: Vec<(usize, Vec<u8>)> = Vec::new();
@@ -374,7 +411,7 @@ where
     let mut rx_buf = vec![0u8; 65_535];
 
     for (i, node) in nodes.iter().enumerate() {
-        rearm(node, i, env.tick_ns, &mut wheel, &mut next_wake);
+        wakeups.rearm(node, i);
     }
 
     'run: loop {
@@ -388,7 +425,7 @@ where
                     wire.clock.witness(clock);
                     let i = (node.0 - env.base) as usize;
                     nodes[i].handle_ctrl(ctrl, shared.now_ns(), &mut wire, &shared);
-                    rearm(&nodes[i], i, env.tick_ns, &mut wheel, &mut next_wake);
+                    wakeups.rearm(&nodes[i], i);
                     route_sends(
                         &mut wire,
                         &env,
@@ -436,7 +473,7 @@ where
                         let i = to.0.wrapping_sub(env.base) as usize;
                         if i < nodes.len() {
                             nodes[i].on_envelope(envelope, shared.now_ns(), &mut wire, &shared);
-                            rearm(&nodes[i], i, env.tick_ns, &mut wheel, &mut next_wake);
+                            wakeups.rearm(&nodes[i], i);
                         }
                     }
                 }
@@ -459,7 +496,7 @@ where
             busy = true;
             let i = (to.0 - env.base) as usize;
             nodes[i].on_envelope(&envelope, shared.now_ns(), &mut wire, &shared);
-            rearm(&nodes[i], i, env.tick_ns, &mut wheel, &mut next_wake);
+            wakeups.rearm(&nodes[i], i);
             route_sends(
                 &mut wire,
                 &env,
@@ -470,15 +507,15 @@ where
             );
         }
 
-        // 4. Due wakeups from the wheel.
+        // 4. Due wakeups: every armed tick at or before now.
         let now_ns = shared.now_ns();
         due.clear();
-        wheel.advance(now_ns / env.tick_ns, &mut due);
+        wakeups.pop_due(now_ns, &mut due);
         for &i in &due {
             let i = i as usize;
-            next_wake[i] = None;
+            wakeups.next_wake[i] = None;
             nodes[i].tick(now_ns, &mut wire, &shared);
-            rearm(&nodes[i], i, env.tick_ns, &mut wheel, &mut next_wake);
+            wakeups.rearm(&nodes[i], i);
             route_sends(
                 &mut wire,
                 &env,
@@ -494,7 +531,7 @@ where
         while let Some((to, envelope)) = local_q.pop_front() {
             let i = (to.0 - env.base) as usize;
             nodes[i].on_envelope(&envelope, shared.now_ns(), &mut wire, &shared);
-            rearm(&nodes[i], i, env.tick_ns, &mut wheel, &mut next_wake);
+            wakeups.rearm(&nodes[i], i);
             route_sends(
                 &mut wire,
                 &env,
@@ -534,9 +571,9 @@ where
         // 6. Sleep until the next deadline (or an unpark).
         if !busy {
             let now_ns = shared.now_ns();
-            let sleep_ns = wheel
-                .next_deadline()
-                .map(|t| t.saturating_mul(env.tick_ns).saturating_sub(now_ns))
+            let sleep_ns = wakeups
+                .next_ns()
+                .map(|t| t.saturating_sub(now_ns))
                 .unwrap_or(1_000_000)
                 .clamp(50_000, 1_000_000);
             thread::park_timeout(Duration::from_nanos(sleep_ns));

@@ -424,10 +424,9 @@ impl<P: Protocol> Engine<P> {
         F: FnMut(NodeSeed) -> P + 'static,
     {
         cfg.validate().expect("invalid SimConfig");
-        let world = World::with_engine(
+        let world = World::new(
             cfg.radio_range,
             positions.into_iter().map(Into::into).collect(),
-            cfg.link_engine,
         );
         let n = world.len();
         let max_degree = world.max_degree();

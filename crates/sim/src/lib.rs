@@ -94,5 +94,5 @@ pub use sched::{
 pub use shim::{ArqConfig, ShimStats};
 pub use time::SimTime;
 pub use trace::{TraceEntry, TraceKind};
-pub use wheel::EventQueueKind;
-pub use world::{LinkChange, LinkEngine, Position, World};
+pub use wheel::EventQueue;
+pub use world::{LinkChange, Position, World};

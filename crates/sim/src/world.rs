@@ -1,5 +1,13 @@
 //! The physical world: node positions, unit-disk connectivity, motion and
 //! crash status.
+//!
+//! Geometric worlds derive links through a uniform spatial hash grid
+//! ([`crate::geo`]): every link re-derivation is restricted to the ≤ 9
+//! cells around the affected node, so per-step cost scales with local
+//! density instead of the network size. The golden fingerprints of the
+//! `engine_equivalence` suite pin the link-change sequences, and the unit
+//! tests compare the adjacency with a brute-force all-pairs unit-disk
+//! oracle.
 
 use crate::geo::{CsrAdjacency, Grid};
 use crate::ids::NodeId;
@@ -23,37 +31,6 @@ impl Position {
 impl From<(f64, f64)> for Position {
     fn from((x, y): (f64, f64)) -> Self {
         Position { x, y }
-    }
-}
-
-/// Which link-derivation engine a geometric [`World`] uses.
-///
-/// Both engines implement the same unit-disk semantics and produce
-/// bit-for-bit identical link-change sequences (the differential suite in
-/// `tests/engine_equivalence.rs` pins this); they differ only in cost:
-///
-/// * [`LinkEngine::Grid`] — the default: a uniform spatial hash grid
-///   (see [`crate::geo`]) restricts every link re-derivation to the ≤ 9
-///   cells around the affected node, so per-step cost scales with local
-///   density instead of the network size.
-/// * [`LinkEngine::Pairwise`] — the reference O(n²) scan kept as the
-///   semantic anchor; it becomes the default when the crate is compiled
-///   with the `reference` feature.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkEngine {
-    /// Spatial-hash-grid fast path (default).
-    Grid,
-    /// Pairwise O(n²) reference path.
-    Pairwise,
-}
-
-impl Default for LinkEngine {
-    fn default() -> LinkEngine {
-        if cfg!(feature = "reference") {
-            LinkEngine::Pairwise
-        } else {
-            LinkEngine::Grid
-        }
     }
 }
 
@@ -82,17 +59,14 @@ pub struct World {
     crashed: Vec<bool>,
     /// Adjacency sets, kept sorted for deterministic iteration.
     adj: Vec<Vec<NodeId>>,
-    /// Spatial index over `positions`; `Some` iff this is a geometric
-    /// world running the [`LinkEngine::Grid`] fast path.
+    /// Spatial index over `positions`; `None` iff this is an explicit-graph
+    /// world, whose links were given directly instead of being derived
+    /// from positions (such worlds are immutable: no movement).
     grid: Option<Grid>,
     /// Candidate peers examined by [`World::relocate`] since construction —
     /// a deterministic, machine-independent measure of link-update cost
-    /// (the grid path examines O(local density) candidates per step, the
-    /// pairwise path always examines `n − 1`).
+    /// (O(local density) per step, not `n`).
     scanned: u64,
-    /// Explicit-graph mode: links were given directly instead of being
-    /// derived from positions; such worlds are immutable (no movement).
-    explicit: bool,
     /// Active partition cut, as a side mask: links between nodes whose
     /// mask bits differ are suppressed. `None` = no partition in force.
     cut: Option<Vec<bool>>,
@@ -114,66 +88,36 @@ pub enum LinkChange {
 impl World {
     /// Create a world with the given positions; links are derived from the
     /// unit-disk rule immediately (this is the initial topology, established
-    /// without LinkUp notifications). Uses the default [`LinkEngine`].
+    /// without LinkUp notifications).
     pub fn new(radio_range: f64, positions: Vec<Position>) -> World {
-        World::with_engine(radio_range, positions, LinkEngine::default())
-    }
-
-    /// Create a world with an explicitly chosen link-derivation engine.
-    /// Both engines produce identical link sets and change sequences; see
-    /// [`LinkEngine`].
-    pub fn with_engine(radio_range: f64, positions: Vec<Position>, engine: LinkEngine) -> World {
         let n = positions.len();
-        let grid = match engine {
-            LinkEngine::Grid => Some(Grid::new(radio_range, &positions)),
-            LinkEngine::Pairwise => None,
-        };
-        let mut world = World {
+        let grid = Grid::new(radio_range, &positions);
+        // One candidate query per node; each in-range candidate pair is
+        // seen from both sides, so no cross-wiring pass is needed.
+        let mut adj = vec![Vec::new(); n];
+        let mut cand = Vec::new();
+        for (i, row) in adj.iter_mut().enumerate() {
+            let me = NodeId(i as u32);
+            cand.clear();
+            grid.near(positions[i], &mut cand);
+            *row = cand
+                .iter()
+                .copied()
+                .filter(|&j| j != me && positions[i].distance(positions[j.index()]) <= radio_range)
+                .collect();
+            row.sort_unstable();
+        }
+        World {
             radio_range,
             positions,
             moving: vec![None; n],
             crashed: vec![false; n],
-            adj: vec![Vec::new(); n],
-            grid,
+            adj,
+            grid: Some(grid),
             scanned: 0,
-            explicit: false,
             cut: None,
             severed: Vec::new(),
-        };
-        if let Some(grid) = &world.grid {
-            // One candidate query per node; each in-range candidate pair is
-            // seen from both sides, so no cross-wiring pass is needed.
-            let mut cand = Vec::new();
-            for i in 0..n {
-                let me = NodeId(i as u32);
-                cand.clear();
-                grid.near(world.positions[i], &mut cand);
-                let mut row: Vec<NodeId> = cand
-                    .iter()
-                    .copied()
-                    .filter(|&j| {
-                        j != me
-                            && world.positions[i].distance(world.positions[j.index()])
-                                <= world.radio_range
-                    })
-                    .collect();
-                row.sort_unstable();
-                world.adj[i] = row;
-            }
-        } else {
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if world.in_range(NodeId(i as u32), NodeId(j as u32)) {
-                        world.adj[i].push(NodeId(j as u32));
-                        world.adj[j].push(NodeId(i as u32));
-                    }
-                }
-            }
-            for a in &mut world.adj {
-                a.sort_unstable();
-            }
         }
-        world
     }
 
     /// Create a world whose links are given *explicitly* instead of being
@@ -201,7 +145,6 @@ impl World {
             adj: vec![Vec::new(); n],
             grid: None,
             scanned: 0,
-            explicit: true,
             cut: None,
             severed: Vec::new(),
         };
@@ -220,16 +163,7 @@ impl World {
     /// Whether this world's links were given explicitly (immutable
     /// topology).
     pub fn is_explicit(&self) -> bool {
-        self.explicit
-    }
-
-    /// The link-derivation engine in force.
-    pub fn link_engine(&self) -> LinkEngine {
-        if self.grid.is_some() {
-            LinkEngine::Grid
-        } else {
-            LinkEngine::Pairwise
-        }
+        self.grid.is_none()
     }
 
     /// Number of nodes.
@@ -321,7 +255,7 @@ impl World {
 
     pub(crate) fn begin_motion(&mut self, n: NodeId, dest: Position, step_len: f64) -> u64 {
         assert!(
-            !self.explicit,
+            !self.is_explicit(),
             "explicit-graph worlds are immutable: movement rejected"
         );
         let epoch = self.moving[n.index()].as_ref().map_or(0, |m| m.epoch) + 1;
@@ -407,43 +341,25 @@ impl World {
         for &s in side {
             mask[s.index()] = true;
         }
-        if self.grid.is_some() {
-            // Fast path: only existing links can be severed, so scanning
-            // the adjacency (O(Σ degree)) replaces the O(n²) pair scan.
-            // Outer index ascending over sorted rows restricted to `j > i`
-            // yields the same lexicographic (i, j) order as the pair scan.
-            let mut cross = Vec::new();
-            for i in 0..self.len() {
-                for &j in &self.adj[i] {
-                    if (j.index()) > i && mask[i] != mask[j.index()] {
-                        cross.push((NodeId(i as u32), j));
-                    }
+        // Only existing links can be severed, so the adjacency (O(Σ degree))
+        // is scanned, in both geometric and explicit worlds. Outer index
+        // ascending over sorted rows restricted to `j > i` yields the
+        // lexicographic (i, j) order.
+        let mut cross = Vec::new();
+        for i in 0..self.len() {
+            for &j in &self.adj[i] {
+                if j.index() > i && mask[i] != mask[j.index()] {
+                    cross.push((NodeId(i as u32), j));
                 }
             }
-            for (a, b) in cross {
-                remove_sorted(&mut self.adj[a.index()], b);
-                remove_sorted(&mut self.adj[b.index()], a);
-                // Record (outside, inside) for heal-time ordering.
-                let pair = if mask[a.index()] { (b, a) } else { (a, b) };
-                self.severed.push(pair);
-                changes.push(LinkChange::Down(a, b));
-            }
-        } else {
-            for i in 0..self.len() {
-                for j in (i + 1)..self.len() {
-                    if mask[i] == mask[j] {
-                        continue;
-                    }
-                    let (a, b) = (NodeId(i as u32), NodeId(j as u32));
-                    if self.linked(a, b) {
-                        remove_sorted(&mut self.adj[i], b);
-                        remove_sorted(&mut self.adj[j], a);
-                        let pair = if mask[i] { (b, a) } else { (a, b) };
-                        self.severed.push(pair);
-                        changes.push(LinkChange::Down(a, b));
-                    }
-                }
-            }
+        }
+        for (a, b) in cross {
+            remove_sorted(&mut self.adj[a.index()], b);
+            remove_sorted(&mut self.adj[b.index()], a);
+            // Record (outside, inside) for heal-time ordering.
+            let pair = if mask[a.index()] { (b, a) } else { (a, b) };
+            self.severed.push(pair);
+            changes.push(LinkChange::Down(a, b));
         }
         self.cut = Some(mask);
         changes
@@ -460,17 +376,17 @@ impl World {
             return Vec::new();
         };
         let mut changes = Vec::new();
-        if self.explicit {
+        if self.is_explicit() {
             for (outside, inside) in std::mem::take(&mut self.severed) {
                 insert_sorted(&mut self.adj[outside.index()], inside);
                 insert_sorted(&mut self.adj[inside.index()], outside);
                 changes.push(LinkChange::Up(outside, inside));
             }
-        } else if self.grid.is_some() {
-            // Fast path: a healed link must join nodes within range, so
-            // candidates come from the 3×3 cell neighborhood of each node.
-            // Ascending outer index over a sorted candidate row restricted
-            // to `j > i` reproduces the pair scan's lexicographic order.
+        } else {
+            // A healed link must join nodes within range, so candidates
+            // come from the 3×3 cell neighborhood of each node. Ascending
+            // outer index over a sorted candidate row restricted to
+            // `j > i` yields the lexicographic (i, j) order.
             self.severed.clear();
             let mut cand = Vec::new();
             for i in 0..self.len() {
@@ -492,22 +408,6 @@ impl World {
                     }
                 }
             }
-        } else {
-            self.severed.clear();
-            for i in 0..self.len() {
-                for j in (i + 1)..self.len() {
-                    if mask[i] == mask[j] {
-                        continue;
-                    }
-                    let (a, b) = (NodeId(i as u32), NodeId(j as u32));
-                    if self.in_range(a, b) && !self.linked(a, b) {
-                        insert_sorted(&mut self.adj[i], b);
-                        insert_sorted(&mut self.adj[j], a);
-                        let pair = if mask[i] { (b, a) } else { (a, b) };
-                        changes.push(LinkChange::Up(pair.0, pair.1));
-                    }
-                }
-            }
         }
         changes
     }
@@ -521,38 +421,24 @@ impl World {
     ///
     /// Panics on explicit-graph worlds, whose topology is immutable.
     pub fn relocate(&mut self, n: NodeId, pos: Position) -> Vec<LinkChange> {
-        assert!(
-            !self.explicit,
-            "explicit-graph worlds are immutable: movement rejected"
-        );
+        let Some(grid) = self.grid.as_mut() else {
+            panic!("explicit-graph worlds are immutable: movement rejected");
+        };
+        grid.relocate(n, pos);
         self.positions[n.index()] = pos;
+        // A link can only break with a *current* neighbor and only form
+        // with a node in range of the new position — i.e. inside the 3×3
+        // cell neighborhood. The sorted union of both sets, walked in
+        // ascending ID order, visits every peer whose link can change.
+        let mut cand = Vec::new();
+        grid.near(pos, &mut cand);
+        cand.extend_from_slice(&self.adj[n.index()]);
+        cand.sort_unstable();
+        cand.dedup();
+        self.scanned += cand.len() as u64;
         let mut changes = Vec::new();
-        if let Some(grid) = self.grid.as_mut() {
-            grid.relocate(n, pos);
-            // A link can only break with a *current* neighbor and only
-            // form with a node in range of the new position — i.e. inside
-            // the 3×3 cell neighborhood. The sorted union of both sets,
-            // walked in ascending ID order, visits exactly the peers the
-            // pairwise scan would have flagged, in the same order.
-            let mut cand = Vec::new();
-            grid.near(pos, &mut cand);
-            cand.extend_from_slice(&self.adj[n.index()]);
-            cand.sort_unstable();
-            cand.dedup();
-            self.scanned += cand.len() as u64;
-            for peer in cand {
-                if peer == n {
-                    continue;
-                }
-                self.diff_link(n, peer, &mut changes);
-            }
-        } else {
-            self.scanned += (self.len() as u64).saturating_sub(1);
-            for j in 0..self.len() {
-                let peer = NodeId(j as u32);
-                if peer == n {
-                    continue;
-                }
+        for peer in cand {
+            if peer != n {
                 self.diff_link(n, peer, &mut changes);
             }
         }
@@ -604,23 +490,23 @@ mod tests {
         )
     }
 
-    /// Run `f` against a line world under both engines and require the
-    /// returned observations to match.
-    fn both_engines<T: PartialEq + std::fmt::Debug>(n: usize, f: impl Fn(&mut World) -> T) {
-        let positions: Vec<Position> = (0..n)
-            .map(|i| Position {
-                x: i as f64,
-                y: 0.0,
-            })
-            .collect();
-        let mut grid = World::with_engine(1.5, positions.clone(), LinkEngine::Grid);
-        let mut pair = World::with_engine(1.5, positions, LinkEngine::Pairwise);
-        assert_eq!(f(&mut grid), f(&mut pair), "engines disagree");
-        for i in 0..n as u32 {
+    /// Brute-force all-pairs unit-disk oracle: `w`'s adjacency must be
+    /// exactly the pairs within radio range that the active cut does not
+    /// separate (crashes leave links alone).
+    fn assert_unit_disk(w: &World) {
+        for a in (0..w.len() as u32).map(NodeId) {
+            let want: Vec<NodeId> = (0..w.len() as u32)
+                .map(NodeId)
+                .filter(|&b| {
+                    b != a
+                        && w.position(a).distance(w.position(b)) <= w.radio_range
+                        && !w.cut_blocks(a, b)
+                })
+                .collect();
             assert_eq!(
-                grid.neighbors(NodeId(i)),
-                pair.neighbors(NodeId(i)),
-                "adjacency of {i} diverged"
+                w.neighbors(a),
+                want,
+                "adjacency of {a:?} differs from the oracle"
             );
         }
     }
@@ -635,29 +521,38 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_initial_topology_and_relocation() {
-        both_engines(6, |w| {
-            vec![
-                w.relocate(NodeId(5), Position { x: 0.5, y: 0.5 }),
-                w.relocate(NodeId(0), Position { x: 9.0, y: 0.0 }),
-                // Land exactly on a cell edge (x = 2 · cell ≈ 3.0).
-                w.relocate(NodeId(0), Position { x: 3.0, y: 0.0 }),
-            ]
-        });
+    fn relocation_matches_the_unit_disk_oracle() {
+        let mut w = line(6);
+        assert_unit_disk(&w);
+        for (node, x, y) in [
+            (5, 0.5, 0.5),
+            (0, 9.0, 0.0),
+            // Land exactly on a cell edge (x = 2 · cell ≈ 3.0).
+            (0, 3.0, 0.0),
+        ] {
+            w.relocate(NodeId(node), Position { x, y });
+            assert_unit_disk(&w);
+        }
     }
 
     #[test]
-    fn engines_agree_on_cut_and_heal() {
-        both_engines(7, |w| {
-            vec![
-                w.apply_cut(&[NodeId(3), NodeId(4)]),
-                w.relocate(NodeId(4), Position { x: 0.5, y: 0.2 }),
-                w.clear_cut(),
-                w.apply_cut(&[NodeId(0)]),
-                w.apply_cut(&[NodeId(6)]),
-                w.clear_cut(),
-            ]
-        });
+    fn cut_heal_and_crash_match_the_unit_disk_oracle() {
+        let mut w = line(7);
+        w.apply_cut(&[NodeId(3), NodeId(4)]);
+        assert_unit_disk(&w);
+        w.relocate(NodeId(4), Position { x: 0.5, y: 0.2 });
+        assert_unit_disk(&w);
+        w.crash(NodeId(2));
+        assert_unit_disk(&w);
+        w.clear_cut();
+        assert_unit_disk(&w);
+        w.apply_cut(&[NodeId(0)]);
+        assert_unit_disk(&w);
+        w.recover(NodeId(2));
+        w.apply_cut(&[NodeId(6)]);
+        assert_unit_disk(&w);
+        w.clear_cut();
+        assert_unit_disk(&w);
     }
 
     #[test]
@@ -675,27 +570,23 @@ mod tests {
     }
 
     #[test]
-    fn grid_engine_scans_locally() {
-        // 40 nodes spread far apart: a grid relocate should examine a
-        // handful of candidates, the pairwise one all n − 1.
+    fn relocation_scans_locally() {
+        // 40 nodes spread far apart: a relocate should examine a handful
+        // of candidates, not all n − 1.
         let positions: Vec<Position> = (0..40)
             .map(|i| Position {
                 x: f64::from(i) * 10.0,
                 y: 0.0,
             })
             .collect();
-        let mut g = World::with_engine(1.5, positions.clone(), LinkEngine::Grid);
-        let mut p = World::with_engine(1.5, positions, LinkEngine::Pairwise);
-        g.relocate(NodeId(0), Position { x: 1.0, y: 0.0 });
-        p.relocate(NodeId(0), Position { x: 1.0, y: 0.0 });
+        let mut w = World::new(1.5, positions);
+        w.relocate(NodeId(0), Position { x: 1.0, y: 0.0 });
         assert!(
-            g.candidates_examined() <= 4,
-            "grid scanned {}",
-            g.candidates_examined()
+            w.candidates_examined() <= 4,
+            "scanned {}",
+            w.candidates_examined()
         );
-        assert_eq!(p.candidates_examined(), 39);
-        assert_eq!(g.link_engine(), LinkEngine::Grid);
-        assert_eq!(p.link_engine(), LinkEngine::Pairwise);
+        assert!(!w.is_explicit());
     }
 
     #[test]
